@@ -1,9 +1,11 @@
 """Repo-specific correctness tooling: static lint + autograd audit.
 
-Two numerics paths (the legacy per-design kernels and the fused
-union-graph sweep) run over a hand-rolled autograd engine, where bugs
-corrupt results silently instead of crashing.  This package makes the
-checks that guard against that mechanical:
+The model runs on a hand-rolled autograd engine with one
+implementation per op (the :mod:`repro.nn.functional` ops, their
+compiled ``out=`` kernels and the fused levelised sweep), where bugs
+corrupt results silently instead of crashing.  The finite-difference
+gradcheck is the oracle every op answers to; this package makes that
+and the other checks mechanical:
 
 - :mod:`repro.check.rules` — the pluggable registry of AST lint rules
   enforcing repo invariants (stable digests instead of builtin

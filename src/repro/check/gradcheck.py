@@ -36,7 +36,6 @@ import numpy as np
 
 from ..nn import Tensor, no_grad
 from ..nn import functional as F
-from ..util import legacy_mode
 from .rules import Finding
 
 #: Ops audited in addition to the ``repro.nn.functional`` surface.
@@ -411,17 +410,18 @@ def _conv_inputs(seed: int):
 
 
 @case("conv2d", "blas-stride2-pad1")
-def _conv2d_fused_case():
+def _conv2d_case():
     return (lambda x, weight, bias:
             F.conv2d(x, weight, bias, stride=2, padding=1),
             _conv_inputs(15))
 
 
-@case("conv2d", "legacy-einsum")
-def _conv2d_legacy_case():
+@case("conv2d", "precomputed-columns")
+def _conv2d_columns_case():
+    # The serving path hands conv2d its input's cached im2col columns.
     def fn(x, weight, bias):
-        with legacy_mode():
-            return F.conv2d(x, weight, bias, stride=1, padding=1)
+        cols = F._im2col(x.data, weight.shape[2:], 1, 1)
+        return F.conv2d(x, weight, bias, padding=1, cols=cols)
 
     return fn, _conv_inputs(16)
 
@@ -435,7 +435,7 @@ def _pool_input(seed: int, shape=(2, 2, 4, 4)) -> np.ndarray:
 
 
 @case("max_pool2d", "non-overlapping-fused")
-def _max_pool_fused_case():
+def _max_pool_case():
     return (lambda x: F.max_pool2d(x, kernel=2, stride=2),
             {"x": _pool_input(17)})
 
@@ -444,15 +444,6 @@ def _max_pool_fused_case():
 def _max_pool_overlap_case():
     return (lambda x: F.max_pool2d(x, kernel=2, stride=1),
             {"x": _pool_input(18)})
-
-
-@case("max_pool2d", "legacy-scatter")
-def _max_pool_legacy_case():
-    def fn(x):
-        with legacy_mode():
-            return F.max_pool2d(x, kernel=2, stride=2)
-
-    return fn, {"x": _pool_input(19)}
 
 
 @case("avg_pool2d", "kernel2")

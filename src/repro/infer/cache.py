@@ -36,7 +36,8 @@ import numpy as np
 
 from ..nn import Module, Tensor
 
-__all__ = ["BoundedLRU", "FeatureCache", "named_tensors", "weight_digest"]
+__all__ = ["BoundedLRU", "FeatureCache", "design_key", "named_tensors",
+           "weight_digest"]
 
 #: Cached value: ``(u, u_n, u_d)`` numpy arrays over a design's full
 #: endpoint set, detached from any autograd graph.
@@ -78,6 +79,17 @@ def weight_digest(model: Module) -> str:
         h.update(str(data.shape).encode("ascii"))
         h.update(data.tobytes())
     return h.hexdigest()
+
+
+def design_key(design) -> Tuple[str, str, str]:
+    """``(name, node, content digest)``: what every per-design cache
+    keys on.
+
+    ``(name, node)`` alone is ambiguous: the same benchmark built
+    against differently-scaled libraries is a different design, so the
+    key includes a digest of the actual model inputs.
+    """
+    return (design.name, design.node, design.content_digest())
 
 
 class BoundedLRU:
@@ -159,20 +171,14 @@ class FeatureCache:
         self.misses = 0
         self.evictions = 0
 
-    @staticmethod
-    def _key(design) -> Tuple[str, str, str]:
-        # (name, node) alone is ambiguous: the same benchmark built
-        # against differently-scaled libraries is a different design,
-        # so the key includes a digest of the actual model inputs.
-        return (design.name, design.node, design.content_digest())
-
     def lookup(self, design, digest: str) -> Optional[FeatureTriple]:
         """The cached triple for ``design`` under ``digest``, or None."""
+        key = design_key(design)
         with self._lock:
-            entry = self._store.get(self._key(design))
+            entry = self._store.get(key)
             if entry is not None and entry[0] == digest:
                 self.hits += 1
-                self._store.move_to_end(self._key(design))
+                self._store.move_to_end(key)
                 return entry[1]
             self.misses += 1
             return None
@@ -181,7 +187,7 @@ class FeatureCache:
               features: FeatureTriple) -> None:
         """Insert (or replace) the design's triple under ``digest``."""
         with self._lock:
-            key = self._key(design)
+            key = design_key(design)
             self._store[key] = (digest, features)
             self._store.move_to_end(key)
             while self.max_entries is not None and \

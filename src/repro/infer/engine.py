@@ -18,12 +18,14 @@ model has not changed, and a separate prior-MLP forward per design.
   single levelised sweep + one stacked CNN forward, and hoists the
   transductive population-prior update out of the per-design loop into
   one batched prior-MLP forward;
-- the CNN runs through the forward-only numpy kernels of
-  :mod:`repro.infer.kernels`, and the *weight-independent* parts of a
-  cold extraction — the first conv layer's im2col columns and the
-  fused batch structure, both functions of the immutable design data
-  alone — are memoised per design/design-set, so they survive weight
-  updates that invalidate the feature cache.
+- the CNN is the training model's own :class:`~repro.model.LayoutCNN`
+  forward under ``no_grad()`` (where max pooling takes its
+  slice-maximum path), and the *weight-independent* parts of a cold
+  extraction — the first conv layer's im2col columns, handed to
+  ``F.conv2d`` as precomputed ``cols``, and the fused batch structure,
+  both functions of the immutable design data alone — are memoised per
+  design/design-set, so they survive weight updates that invalidate
+  the feature cache.
 
 Numerics are the training path's: every prediction matches
 ``TimingPredictor.predict`` to ~1e-10 (asserted by
@@ -53,14 +55,41 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..flow import DesignData
-from ..model import TimingPredictor
-from ..nn import Tensor, no_grad
+from ..model import LayoutCNN, TimingPredictor
+from ..nn import Conv2d, Tensor, no_grad
+from ..nn import functional as F
 from ..train.fused import FusedDesignBatch, slice_ranges
 from ..util import RWLock, timed
-from .cache import BoundedLRU, FeatureCache, FeatureTriple, weight_digest
-from .kernels import ColumnsTriple, cnn_forward, image_columns
+from .cache import (BoundedLRU, FeatureCache, FeatureTriple, design_key,
+                    weight_digest)
 
 __all__ = ["InferenceEngine", "Prediction"]
+
+#: ``(cols, oh, ow)``: a conv layer's im2col columns of a stack of
+#: path images, the ``cols`` argument of ``F.conv2d``.
+ColumnsTriple = Tuple[np.ndarray, int, int]
+
+
+def image_columns(images: np.ndarray, conv: Conv2d) -> ColumnsTriple:
+    """``conv``'s im2col columns of ``images``.
+
+    Weight-independent (only the kernel geometry matters), so the
+    engine computes them once per design or design set and reuses them
+    across any number of model updates.
+    """
+    return F._im2col(images, conv.weight.shape[2:], conv.stride,
+                     conv.padding)
+
+
+def cnn_forward(cnn: LayoutCNN, images: np.ndarray,
+                cols: Optional[ColumnsTriple] = None) -> np.ndarray:
+    """Path embeddings of ``images`` through ``cnn``, no-grad.
+
+    The training forward itself, starting at the first layer's GEMM
+    when ``cols`` carries its cached :func:`image_columns`.
+    """
+    with no_grad():
+        return cnn(Tensor(images), cols=cols).data
 
 
 class Prediction:
@@ -99,16 +128,13 @@ class InferenceEngine:
         population before reading the prior — Equation (7)'s "all the
         timing paths on the target node" (matches ``predict()``'s
         default).
-    cache_columns:
-        Additionally memoise *weight-independent* preprocessing per
-        design: the CNN's first-layer im2col columns and (for
-        ``predict_many``) the union-graph batch structure.  Unlike the
-        feature cache these survive model updates — the inputs they
-        derive from are immutable flow outputs — but the columns are
-        ~9x the image stack in memory, so disable when serving a very
-        large design population from a small footprint.
     max_struct_entries, max_column_entries:
-        LRU bounds on the two weight-independent caches.  A resident
+        LRU bounds on the two *weight-independent* caches: per-design
+        first-layer im2col columns and (for ``predict_many``) the
+        per-design-set union-graph batch structure.  Unlike the feature
+        cache these survive model updates — the inputs they derive
+        from are immutable flow outputs — and are keyed on each
+        design's content digest, not only its name.  A resident
         process serving many distinct design *sets* would otherwise
         keep one full union-graph batch per distinct request mix
         forever; evictions are counted in :meth:`stats`.
@@ -119,7 +145,6 @@ class InferenceEngine:
 
     def __init__(self, model: TimingPredictor, use_cache: bool = True,
                  transductive: bool = True,
-                 cache_columns: bool = True,
                  max_struct_entries: Optional[int] = 8,
                  max_column_entries: Optional[int] = 64,
                  cache_max_entries: Optional[int] = None) -> None:
@@ -128,8 +153,7 @@ class InferenceEngine:
             FeatureCache(max_entries=cache_max_entries) \
             if use_cache else None
         self.transductive = transductive
-        self.cache_columns = cache_columns
-        #: (name, node) -> first-layer im2col columns of the design's
+        #: design key -> first-layer im2col columns of the design's
         #: path images (weight-independent; LRU-bounded).
         self._image_cols: BoundedLRU = BoundedLRU(max_column_entries)
         #: design-set key -> (FusedDesignBatch, subsets, images, cols);
@@ -147,16 +171,12 @@ class InferenceEngine:
             return weight_digest(self.model)
 
     def _columns_for(self, design: DesignData,
-                     images: np.ndarray) -> Optional[ColumnsTriple]:
-        """Cached first-layer columns for one design (None = uncached)."""
-        if not self.cache_columns:
-            return None
-        key = (design.name, design.node)
+                     images: np.ndarray) -> ColumnsTriple:
+        """Cached first-layer columns for one design."""
+        key = design_key(design)
         cols = self._image_cols.get(key)
         if cols is None:
-            conv1 = self.model.extractor.cnn.conv1
-            cols = image_columns(images, conv1.weight.data,
-                                 conv1.stride, conv1.padding)
+            cols = image_columns(images, self.model.extractor.cnn.conv1)
             self._image_cols.put(key, cols)
         return cols
 
@@ -195,17 +215,13 @@ class InferenceEngine:
     def _batch_struct(self, missed: Sequence[DesignData]) -> tuple:
         """Weight-independent batch structure for a set of designs:
         union graph, full endpoint subsets, stacked images, columns."""
-        key = tuple((d.name, d.node) for d in missed)
+        key = tuple(design_key(d) for d in missed)
         struct = self._structs.get(key)
         if struct is None:
             batch = FusedDesignBatch(list(missed))
             subsets = [np.arange(d.num_endpoints) for d in missed]
             images = batch.stacked_path_images(subsets)
-            cols = None
-            if self.cache_columns:
-                conv1 = self.model.extractor.cnn.conv1
-                cols = image_columns(images, conv1.weight.data,
-                                     conv1.stride, conv1.padding)
+            cols = image_columns(images, self.model.extractor.cnn.conv1)
             struct = (batch, subsets, images, cols)
             self._structs.put(key, struct)
         return struct

@@ -2,7 +2,7 @@
 
 from .baseline import DAC23Model
 from .bayesian import BayesianReadout, build_prior_feature
-from .cnn import LayoutCNN, masked_path_images
+from .cnn import LayoutCNN
 from .disentangle import Disentangler
 from .extractor import PathFeatureExtractor
 from .gnn import TimingGNN
@@ -21,7 +21,6 @@ __all__ = [
     "build_prior_feature",
     "cmd_loss",
     "cmd_loss_multi",
-    "masked_path_images",
     "node_contrastive_loss",
     "node_contrastive_loss_multi",
 ]

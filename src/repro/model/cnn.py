@@ -9,6 +9,8 @@ global average pooling; the paper's 3x512x512 input is scaled down to
 
 from __future__ import annotations
 
+from typing import Optional, Tuple
+
 import numpy as np
 
 from ..nn import Conv2d, Linear, Module, Tensor
@@ -39,30 +41,20 @@ class LayoutCNN(Module):
         self.conv3 = Conv2d(2 * channels, 2 * channels, 3, rng, padding=1)
         self.project = Linear(2 * channels, out_features, rng)
 
-    def forward(self, images: Tensor) -> Tensor:
-        """``(K, C, R, R)`` masked images -> ``(K, out_features)``."""
+    def forward(self, images: Tensor,
+                cols: Optional[Tuple[np.ndarray, int, int]] = None
+                ) -> Tensor:
+        """``(K, C, R, R)`` masked images -> ``(K, out_features)``.
+
+        ``cols`` optionally carries ``conv1``'s precomputed im2col
+        columns of ``images`` (see :func:`repro.nn.functional.conv2d`).
+        ReLU follows each max pool rather than preceding it: max and
+        ReLU commute (ReLU is monotone), so values and gradients are
+        the same, and the ReLU then touches a quarter of the elements.
+        """
         with timed("cnn.forward"):
-            h = F.max_pool2d(self.conv1(images).relu(), 2)
-            h = F.max_pool2d(self.conv2(h).relu(), 2)
+            h = F.max_pool2d(self.conv1(images, cols=cols), 2).relu()
+            h = F.max_pool2d(self.conv2(h), 2).relu()
             h = self.conv3(h).relu()
             h = F.global_avg_pool2d(h)
             return self.project(h)
-
-
-def masked_path_images(images: np.ndarray,
-                       cone_masks: np.ndarray) -> np.ndarray:
-    """Apply per-path cone masks to the design's layout images.
-
-    Parameters
-    ----------
-    images:
-        ``(C, R, R)`` design-level layout images.
-    cone_masks:
-        ``(K, R, R)`` binary masks, one per timing path.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(K, C, R, R)`` per-path image stacks.
-    """
-    return images[None, :, :, :] * cone_masks[:, None, :, :]

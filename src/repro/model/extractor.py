@@ -14,8 +14,7 @@ import numpy as np
 
 from ..flow import DesignData
 from ..nn import Module, Tensor, concatenate
-from ..util import is_legacy
-from .cnn import LayoutCNN, masked_path_images
+from .cnn import LayoutCNN
 from .gnn import TimingGNN
 
 
@@ -76,11 +75,6 @@ class PathFeatureExtractor(Module):
             endpoint_subset = np.arange(design.num_endpoints)
         rows = design.graph.endpoint_rows[endpoint_subset]
         u_graph = self.gnn(design.graph, rows)
-        if is_legacy():
-            # Original form: re-mask the sampled cones every call.
-            path_images = masked_path_images(
-                design.images, design.cone_masks[endpoint_subset])
-        else:
-            path_images = design.path_image_stack()[endpoint_subset]
+        path_images = design.path_image_stack()[endpoint_subset]
         u_layout = self.cnn(Tensor(path_images))
         return concatenate([u_graph, u_layout], axis=1)

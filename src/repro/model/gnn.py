@@ -11,16 +11,14 @@ heterogeneous), and a node's embedding is
 computed level by level, so each embedding summarises the whole fanin
 cone below it — making the endpoint rows genuine *timing path* features.
 
-Two sweep implementations share the same math:
-
-- the **fused kernel** (default): one autograd node whose forward runs
-  the entire sweep in tight numpy (in-place level updates, BLAS message
-  matmuls) and whose backward replays the levels in reverse.  This
-  replaces the thousands of small per-level autograd nodes the naive
-  composition creates, which dominate wall-clock on small levels.
-- the **reference composition**: the original per-level gather/scatter
-  autograd ops, kept as the ground truth the fused kernel is validated
-  against (see ``reference_sweep`` and the equivalence tests).
+The sweep is one fused autograd node (:func:`levelized_sweep`) whose
+forward runs every level in tight numpy (in-place level updates, BLAS
+message matmuls) and whose backward replays the levels in reverse —
+instead of the thousands of small per-level gather/scatter autograd
+nodes the naive composition creates, which dominate wall-clock on
+small levels.  Its oracles are the finite-difference gradcheck
+(:mod:`repro.check.gradcheck`) and a test-only per-level reference
+composition (``tests/nn/test_fused_gradcheck.py``).
 """
 
 from __future__ import annotations
@@ -30,9 +28,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..features import PinGraph
-from ..nn import Linear, Module, Tensor, gather_rows, scatter_add_rows
+from ..nn import Linear, Module, Tensor, gather_rows
 from ..nn.tensor import _finish
-from ..util import is_legacy, legacy_mode, timed
+from ..util import timed
 
 
 class _LevelPlan:
@@ -93,19 +91,12 @@ def _plan_for(graph: PinGraph) -> _LevelPlan:
     return plan
 
 
-#: The sweep follows the process-global legacy switch: inside
-#: ``legacy_mode()`` the naive per-level autograd composition runs
-#: (equivalence tests, pre-fusion benchmark baseline); production code
-#: paths always take the fused kernel.  Kept under its historical name.
-reference_sweep = legacy_mode
-
-
 def levelized_sweep(s: Tensor, w_net: Tensor, w_cell: Tensor,
                     plan: _LevelPlan, level0: np.ndarray,
                     num_nodes: int) -> Tensor:
     """The whole levelised propagation as ONE autograd node.
 
-    Forward mirrors the reference composition exactly (each node's row
+    Forward mirrors the per-level composition exactly (each node's row
     of ``h`` is written once, at its own level), but runs in plain numpy
     with in-place buffers.  Backward replays the levels in reverse
     topological order, accumulating into per-array gradient buffers —
@@ -196,32 +187,10 @@ class TimingGNN(Module):
             s = self.lin_self(Tensor(graph.features))
             if not graph.levels:
                 return s.relu()
-            if is_legacy():
-                return self._sweep_reference(graph, s)
             return levelized_sweep(
                 s, self.lin_net.weight, self.lin_cell.weight,
                 _plan_for(graph), graph.levels[0], graph.num_nodes,
             )
-
-    def _sweep_reference(self, graph: PinGraph, s: Tensor) -> Tensor:
-        """Per-level autograd composition (ground truth for the kernel)."""
-        n = graph.num_nodes
-        level0 = graph.levels[0]
-        h = scatter_add_rows(gather_rows(s, level0).relu(), level0, n)
-        plan = _plan_for(graph)
-        for step in plan.steps:
-            dst = step["dst"]
-            total = gather_rows(s, dst)
-            for kind, lin in (("net", self.lin_net), ("cell", self.lin_cell)):
-                src = step[f"{kind}_src"]
-                if src.size == 0:
-                    continue
-                msgs = lin(gather_rows(h, src))
-                agg = scatter_add_rows(msgs, step[f"{kind}_dst_local"],
-                                       len(dst))
-                total = total + agg * Tensor(step[f"{kind}_inv_count"])
-            h = h + scatter_add_rows(total.relu(), dst, n)
-        return h
 
     def forward(self, graph: PinGraph,
                 endpoint_rows: Optional[np.ndarray] = None) -> Tensor:

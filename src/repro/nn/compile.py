@@ -655,7 +655,6 @@ def _op_conv2d():
         x, w = k.ins[0], k.ins[1]
         bias = k.ins[2] if k.attrs["has_bias"] else None
         stride, padding = k.attrs["stride"], k.attrs["padding"]
-        legacy = k.attrs["legacy"]
         n, c, _, _, c_out, kh, kw, hp, wp, oh, ow = _geometry(k)
         # Padded staging buffer: borders zeroed once, interior is
         # rewritten per replay (matches np.pad's zero fill).
@@ -667,10 +666,7 @@ def _op_conv2d():
 
         def f():
             cols = F._im2col_out(x, (kh, kw), stride, padding, xpad, cols6)
-            if legacy:
-                np.einsum("ok,nkl->nol", wmat, cols, out=out3)
-            else:
-                np.matmul(wmat, cols, out=out3)
+            np.matmul(wmat, cols, out=out3)
             if bias is not None:
                 np.add(out3, bias[None, :, None], out=out3)
         return f
@@ -680,7 +676,6 @@ def _op_conv2d():
         acc_x, acc_w = k.accs[0], k.accs[1]
         acc_b = k.accs[2] if k.attrs["has_bias"] else None
         stride, padding = k.attrs["stride"], k.attrs["padding"]
-        legacy = k.attrs["legacy"]
         n, c, h, wdt, c_out, kh, kw, hp, wp, oh, ow = _geometry(k)
         ckk = c * kh * kw
         cols6 = k.attrs["_cols6"]
@@ -698,18 +693,12 @@ def _op_conv2d():
         def fn(g):
             g3 = g.reshape(n, c_out, oh * ow)
             if acc_w is not None:
-                if legacy:
-                    g_w = np.einsum("nol,nkl->ok", g3, cols)
-                else:
-                    g_w = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0)
+                g_w = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0)
                 acc_w(g_w.reshape(w_shape))
             if acc_b is not None:
                 acc_b(g3.sum(axis=(0, 2)))
             if acc_x is not None:
-                if legacy:
-                    np.einsum("ok,nol->nkl", wmat, g3, out=gcols)
-                else:
-                    np.matmul(wmat.T, g3, out=gcols)
+                np.matmul(wmat.T, g3, out=gcols)
                 acc_x(F._col2im_out(gcols, (kh, kw), stride, padding,
                                     oh, ow, gpad, gx))
         return fn
@@ -736,7 +725,6 @@ def _op_max_pool2d():
     def bwd(k):
         x, out, acc = k.ins[0], k.out, k.accs[0]
         kernel, stride = k.attrs["kernel"], k.attrs["stride"]
-        legacy = k.attrs["legacy"]
         n, c, h, w = x.shape
         _, _, oh, ow = out.shape
         arg = k.attrs["_arg"]
@@ -745,7 +733,7 @@ def _op_max_pool2d():
         def fn(g):
             gx.fill(0.0)
             ki, kj = np.divmod(arg, kernel)
-            if legacy or stride < kernel:
+            if stride < kernel:
                 n_i, c_i, oh_i, ow_i = np.indices((n, c, oh, ow))
                 rows = oh_i * stride + ki
                 cols_ = ow_i * stride + kj

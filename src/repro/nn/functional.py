@@ -12,7 +12,6 @@ from typing import Tuple
 
 import numpy as np
 
-from ..util import is_legacy
 from . import _tracing
 from .grad_mode import is_grad_enabled
 from .tensor import Tensor, _finish, as_tensor
@@ -154,7 +153,8 @@ def _col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int],
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor = None, stride: int = 1,
-           padding: int = 0) -> Tensor:
+           padding: int = 0,
+           cols: Tuple[np.ndarray, int, int] = None) -> Tensor:
     """2D convolution on NCHW input.
 
     Parameters
@@ -165,19 +165,22 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor = None, stride: int = 1,
         Kernels of shape (C_out, C_in, kH, kW).
     bias:
         Optional per-output-channel bias of shape (C_out,).
+    cols:
+        Optional precomputed ``_im2col(x.data, (kH, kW), stride,
+        padding)`` triple.  The columns depend on ``x`` and the kernel
+        geometry but not on the weights, so a caller that convolves
+        the same input under many weight versions (serving) unfolds it
+        once and starts every later forward at the GEMM.
     """
     c_out, c_in, kh, kw = weight.shape
-    cols, oh, ow = _im2col(x.data, (kh, kw), stride, padding)
+    if cols is None:
+        cols = _im2col(x.data, (kh, kw), stride, padding)
+    cols, oh, ow = cols
     w_mat = weight.data.reshape(c_out, c_in * kh * kw)
-    legacy = is_legacy()
-    if legacy:
-        out_data = np.einsum("ok,nkl->nol", w_mat, cols)
-    else:
-        # Batched GEMM (BLAS) rather than einsum:
-        # (o,k) @ (n,k,l) -> (n,o,l).
-        out_data = np.matmul(w_mat, cols)
+    # Batched GEMM (BLAS): (o,k) @ (n,k,l) -> (n,o,l).
+    out_data = np.matmul(w_mat, cols)
     if bias is not None:
-        # In place: out_data is a fresh array either way, and the extra
+        # In place: out_data is a fresh array, and the extra
         # (N, C_out, oh*ow) temporary is measurable on big path batches.
         out_data += bias.data[None, :, None]
     out_data = out_data.reshape(x.shape[0], c_out, oh, ow)
@@ -187,25 +190,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor = None, stride: int = 1,
     def backward(grad: np.ndarray, out: Tensor) -> None:
         grad_mat = grad.reshape(x.shape[0], c_out, oh * ow)
         if weight.requires_grad:
-            if legacy:
-                g_w = np.einsum("nol,nkl->ok", grad_mat, cols)
-            else:
-                g_w = np.matmul(grad_mat,
-                                cols.transpose(0, 2, 1)).sum(axis=0)
+            g_w = np.matmul(grad_mat, cols.transpose(0, 2, 1)).sum(axis=0)
             out._send(weight, g_w.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             out._send(bias, grad_mat.sum(axis=(0, 2)))
         if x.requires_grad:
-            if legacy:
-                g_cols = np.einsum("ok,nol->nkl", w_mat, grad_mat)
-            else:
-                g_cols = np.matmul(w_mat.T, grad_mat)
+            g_cols = np.matmul(w_mat.T, grad_mat)
             g_x = _col2im(g_cols, x.shape, (kh, kw), stride, padding, oh, ow)
             out._send(x, g_x)
 
     return _finish(out_data, parents, backward, op="conv2d",
                    attrs={"stride": stride, "padding": padding,
-                          "legacy": legacy, "has_bias": bias is not None})
+                          "has_bias": bias is not None})
 
 
 def max_pool2d(x: Tensor, kernel: int = 2, stride: int = None) -> Tensor:
@@ -239,12 +235,11 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int = None) -> Tensor:
     flat = windows.reshape(n, c, oh, ow, kernel * kernel)
     arg = flat.argmax(axis=-1)
     out_data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    legacy = is_legacy()
 
     def backward(grad: np.ndarray, out: Tensor) -> None:
         g_x = np.zeros_like(x.data)
         ki, kj = np.divmod(arg, kernel)
-        if legacy or stride < kernel:
+        if stride < kernel:
             n_i, c_i, oh_i, ow_i = np.indices((n, c, oh, ow))
             rows = oh_i * stride + ki
             cols_ = ow_i * stride + kj
@@ -261,8 +256,7 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int = None) -> Tensor:
         out._send(x, g_x)
 
     return _finish(out_data, (x,), backward, op="max_pool2d",
-                   attrs={"kernel": kernel, "stride": stride,
-                          "legacy": legacy})
+                   attrs={"kernel": kernel, "stride": stride})
 
 
 def avg_pool2d(x: Tensor, kernel: int = 2, stride: int = None) -> Tensor:

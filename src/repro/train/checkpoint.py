@@ -218,6 +218,16 @@ def load_checkpoint(path: Union[str, Path]) -> TrainingCheckpoint:
             f"(this build reads version {CHECKPOINT_VERSION})"
         )
 
+    config = dict(meta["config"])
+    # ``fused`` selected between the fused step and a per-design looped
+    # one that no longer exists.  ``fused: true`` is today's only step,
+    # so the retired key is dropped; a looped run cannot be continued.
+    if config.pop("fused", True) is not True:
+        raise CheckpointError(
+            f"checkpoint {path} was written by the retired per-design "
+            "looped trainer (config fused=false); it cannot be resumed "
+            "bit-for-bit by the fused step")
+
     params = {key[len("param::"):]: value
               for key, value in staged.items()
               if key.startswith("param::")}
@@ -259,7 +269,7 @@ def load_checkpoint(path: Union[str, Path]) -> TrainingCheckpoint:
 
     return TrainingCheckpoint(
         step=int(meta["step"]),
-        config=dict(meta["config"]),
+        config=config,
         params=params,
         optimizer=optimizer,
         rng_states=dict(meta["rng_states"]),

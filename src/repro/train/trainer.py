@@ -21,10 +21,8 @@ import numpy as np
 from ..flow import DesignData
 from ..model import (TimingPredictor, cmd_loss_multi,
                      node_contrastive_loss_multi)
-from ..model.gnn import reference_sweep
 from ..nn import (Adam, CheckpointError, CompiledStep, CompileError,
-                  ReplayMismatch, Tensor, concatenate, step_index,
-                  step_input, trace)
+                  ReplayMismatch, Tensor, step_index, step_input, trace)
 from ..obs import NullRunLogger, RunLogger
 from ..util import timed
 from .batching import sample_endpoints, sample_from_pool
@@ -65,26 +63,21 @@ class TrainConfig:
     holdout_fraction: float = 0.25
     eval_every: int = 15
     seed: int = 0
-    #: Fused batched step (one GNN sweep + one CNN forward for all
-    #: designs) vs. the legacy per-design loop.  Numerically equivalent;
-    #: the loop is kept as the reference/benchmark baseline.
-    fused: bool = True
     #: Write a crash-resume checkpoint every N completed steps
     #: (``0`` disables periodic checkpoints; a graceful-stop checkpoint
     #: is still written when a stop is requested mid-run).
     checkpoint_every: int = 0
-    #: Graph-compile the fused training step: trace the op graph once,
-    #: then replay it as a flat schedule of preallocated numpy kernels
-    #: (see :mod:`repro.nn.compile`).  Bit-for-bit identical to eager
+    #: Graph-compile the training step: trace the op graph once, then
+    #: replay it as a flat schedule of preallocated numpy kernels (see
+    #: :mod:`repro.nn.compile`).  Bit-for-bit identical to eager
     #: execution in float64, so eager and compiled runs (and their
     #: checkpoints) are interchangeable.  Shape changes retrace
-    #: automatically; compile errors fall back to eager.  Only applies
-    #: to the fused step (``fused=True``).
+    #: automatically; compile errors fall back to eager.
     compile: bool = True
     #: Numeric precision of the *compiled* step: ``"float64"`` (default,
     #: bit-exact vs eager) or ``"float32"`` (faster, ~1e-5 relative
     #: loss deviation; see DESIGN.md §11).  Eager execution is always
-    #: float64, so float32 requires the compiled fused step.
+    #: float64, so float32 requires the compiled step.
     dtype: str = "float64"
     #: Ordered node labels of the training chain, sources first (e.g.
     #: ``["130nm", "45nm", "7nm"]``).  ``None`` (the default) derives
@@ -114,10 +107,10 @@ class TrainConfig:
             raise ValueError(
                 f"dtype must be 'float64' or 'float32', got {self.dtype!r}"
             )
-        if self.dtype == "float32" and not (self.compile and self.fused):
+        if self.dtype == "float32" and not self.compile:
             raise ValueError(
-                "dtype='float32' runs only in the compiled fused step; "
-                "set compile=True and fused=True (or use float64)"
+                "dtype='float32' runs only in the compiled step; "
+                "set compile=True (or use float64)"
             )
         if self.cmd_mode not in ("vs-target", "pairwise"):
             raise ValueError(
@@ -426,11 +419,7 @@ class OursTrainer:
 
     # ------------------------------------------------------------------
     def _sample_subsets(self) -> List[np.ndarray]:
-        """Per-design endpoint subsets, in source-then-target order.
-
-        The RNG consumption order is identical between the fused and
-        looped paths, which is what keeps them step-for-step comparable.
-        """
+        """Per-design endpoint subsets, in source-then-target order."""
         cfg = self.config
         subsets = []
         for design in self.source + self.target:
@@ -444,36 +433,14 @@ class OursTrainer:
                                                 self.rng))
         return subsets
 
-    def _features_looped(self, subsets: List[np.ndarray]
-                         ) -> Tuple[Tensor, Tensor, Tensor]:
-        """Legacy per-design extraction (the pre-fusion implementation).
-
-        Runs the reference per-level autograd sweep so benchmarks
-        measure the seed implementation; values are identical to the
-        fused path either way.
-        """
-        parts_u, parts_un, parts_ud = [], [], []
-        with reference_sweep():
-            for design, subset in zip(self.source + self.target, subsets):
-                u, u_n, u_d = self.model.path_features(design, subset)
-                parts_u.append(u)
-                parts_un.append(u_n)
-                parts_ud.append(u_d)
-        return (concatenate(parts_u, axis=0),
-                concatenate(parts_un, axis=0),
-                concatenate(parts_ud, axis=0))
-
     def _batch_inputs(self, subsets: List[np.ndarray]
                       ) -> Dict[str, np.ndarray]:
         """The fused batch's per-step gather results (rows + images)."""
-        inputs: Dict[str, np.ndarray] = {}
-        if self.config.fused:
-            if self._fused_batch is None:
-                self._fused_batch = FusedDesignBatch(self.source + self.target)
-            batch = self._fused_batch
-            inputs["rows"] = batch.merged_endpoint_rows(subsets)
-            inputs["images"] = batch.stacked_path_images(subsets)
-        return inputs
+        if self._fused_batch is None:
+            self._fused_batch = FusedDesignBatch(self.source + self.target)
+        batch = self._fused_batch
+        return {"rows": batch.merged_endpoint_rows(subsets),
+                "images": batch.stacked_path_images(subsets)}
 
     def _noise_inputs(self, subsets: List[np.ndarray]
                       ) -> Dict[str, np.ndarray]:
@@ -530,13 +497,10 @@ class OursTrainer:
         kl_weight = 0.0 if warmup else cfg.kl_weight
         designs = self.source + self.target
         with timed("train.features"):
-            if cfg.fused:
-                rows = step_index("rows", inputs["rows"])
-                images = step_input("images", inputs["images"])
-                u, u_n, u_d = self._fused_batch.path_features_from(
-                    self.model, rows, images)
-            else:
-                u, u_n, u_d = self._features_looped(subsets)
+            rows = step_index("rows", inputs["rows"])
+            images = step_input("images", inputs["images"])
+            u, u_n, u_d = self._fused_batch.path_features_from(
+                self.model, rows, images)
         z = self.model.disentangler.recombine(u_n, u_d)
         ranges = slice_ranges([len(s) for s in subsets])
         # Designs are ordered node-by-node (sources in chain order,
@@ -579,7 +543,7 @@ class OursTrainer:
             clr = node_contrastive_loss_multi(
                 un_groups, temperature=cfg.temperature)
             # Slice u_d only now so the backward accumulation order into
-            # u_d matches the legacy two-node tape bit-for-bit.
+            # u_d matches the two-node tape bit-for-bit.
             ud_groups = [u_d[lo:hi] for lo, hi in node_bounds]
             cmd = cmd_loss_multi(ud_groups, max_order=cfg.cmd_order,
                                  mode=cfg.cmd_mode)
@@ -683,7 +647,7 @@ class OursTrainer:
         update.
         """
         values = None
-        if self.config.compile and self.config.fused:
+        if self.config.compile:
             values = self._grads_compiled(warmup, subsets, inputs)
         if values is None:
             values = self._grads_eager(warmup, subsets, inputs)
@@ -697,13 +661,11 @@ class OursTrainer:
         same signal PT-FT's pretraining provides) before the
         disentangle/align/Bayesian machinery shapes the feature space.
 
-        With ``config.fused`` (the default) all designs share one GNN
-        sweep over the disjoint-union graph and one stacked CNN forward;
-        per-design blocks are recovered as contiguous row ranges.  The
-        looped path recomputes them design by design — same numbers,
-        ~#designs more autograd nodes.
+        All designs share one GNN sweep over the disjoint-union graph
+        and one stacked CNN forward; per-design blocks are recovered as
+        contiguous row ranges.
 
-        With ``config.compile`` (the default, fused only) the step's op
+        With ``config.compile`` (the default) the step's op
         graph is traced once per (warmup, batch-shape, dtype) signature
         and thereafter replayed as a flat schedule of preallocated
         numpy kernels — bit-for-bit identical results in float64, so

@@ -45,7 +45,7 @@ def worker_train_config(config: TrainConfig) -> TrainConfig:
 
     Holdout selection, SWA and checkpointing belong to the parent (the
     worker never calls ``fit``); every field that shapes the step math
-    — loss weights, batch size, fused/compile/dtype — is kept
+    — loss weights, batch size, compile/dtype — is kept
     verbatim so the shard computes exactly the parent's loss graph.
     """
     return replace(config, holdout_fraction=0.0, swa_fraction=1.0,

@@ -4,6 +4,8 @@ The acceptance bar from the issue: engine predictions must match the
 autograd path numerically (atol 1e-10) — cold, warm, batched, subset,
 MC, and after a serialization round-trip."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,40 @@ class TestCacheBehaviour:
         assert not np.allclose(before, after)
         ref = fresh_model.predict(design)
         np.testing.assert_allclose(after, ref, atol=ATOL)
+
+
+class TestContentKeyedStructures:
+    """The weight-independent caches key on design *content*: a design
+    rebuilt under the same (name, node) with different layout images
+    must get its own im2col columns and union batch, not the old
+    design's."""
+
+    @staticmethod
+    def rebuilt(design):
+        return dataclasses.replace(
+            design, images=design.images[:, ::-1, ::-1].copy())
+
+    def test_predict_many_serves_the_rebuilt_design(self, model, designs):
+        engine = InferenceEngine(model)
+        original = designs[0]
+        rebuilt = self.rebuilt(original)
+        expected = model.predict(rebuilt)
+        assert not np.allclose(expected, model.predict(original),
+                               atol=1e-6)
+        engine.predict_many([original])
+        for _ in range(2):   # cold, then from the feature cache
+            out = engine.predict_many([rebuilt])[rebuilt.name].mean
+            np.testing.assert_allclose(out, expected, atol=ATOL)
+        assert engine.stats()["structs"]["entries"] == 2
+
+    def test_predict_serves_the_rebuilt_design(self, model, designs):
+        engine = InferenceEngine(model, use_cache=False)
+        original = designs[0]
+        rebuilt = self.rebuilt(original)
+        engine.predict(original)
+        np.testing.assert_allclose(engine.predict(rebuilt),
+                                   model.predict(rebuilt), atol=ATOL)
+        assert engine.stats()["image_columns"]["entries"] == 2
 
 
 class TestSerialization:

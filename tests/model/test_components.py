@@ -13,7 +13,6 @@ from repro.model import (
     TimingGNN,
     TimingPredictor,
     build_prior_feature,
-    masked_path_images,
 )
 from repro.netlist import make_design, map_design
 from repro.nn import Tensor
@@ -89,13 +88,15 @@ class TestLayoutCNN:
         assert out.shape == (5, 8)
 
     def test_masking(self, design_data):
-        masked = masked_path_images(design_data.images,
-                                    design_data.cone_masks)
+        masked = design_data.path_image_stack()
         k = design_data.num_endpoints
         assert masked.shape == (k, 3, 16, 16)
-        # Outside the mask everything is zero.
+        # Outside the mask everything is zero, inside it is the image.
         outside = (design_data.cone_masks[0] == 0)
         assert np.all(masked[0][:, outside] == 0)
+        assert np.array_equal(masked[0][:, ~outside],
+                              design_data.images[:, ~outside])
+        assert design_data.path_image_stack() is masked   # memoised
 
 
 class TestDisentangler:

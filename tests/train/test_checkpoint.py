@@ -153,6 +153,56 @@ class TestCheckpointArchive:
             load_checkpoint(path)
 
 
+def _set_config_key(path, key, value):
+    def mutate(staged):
+        meta = json.loads(str(staged["meta"]))
+        meta["config"][key] = value
+        staged["meta"] = np.array(json.dumps(meta))
+
+    _rewrite_archive(path, mutate)
+
+
+class TestRetiredFusedKey:
+    """Checkpoints written while ``TrainConfig`` still had ``fused``
+    (fused step vs per-design looped step) carry that key."""
+
+    def test_fused_true_is_dropped_and_resumes_bit_exact(
+            self, tiny_designs, in_features, tmp_path):
+        baseline = make_trainer(tiny_designs, in_features)
+        baseline.fit()
+
+        path = tmp_path / CHECKPOINT_NAME
+        victim = make_trainer(tiny_designs, in_features,
+                              checkpoint_path=path)
+        interfere_after(victim, 4, lambda tr: tr.request_stop())
+        victim.fit()
+        _set_config_key(path, "fused", True)
+
+        ckpt = load_checkpoint(path)
+        assert "fused" not in ckpt.config
+        # `repro train --resume` rebuilds the config from the checkpoint.
+        config = TrainConfig(**ckpt.config)
+        resumed = make_trainer(tiny_designs, in_features, config=config,
+                               checkpoint_path=path)
+        resumed.load_checkpoint(path)
+        resumed.fit()
+        assert weight_digest(resumed.model) == \
+            weight_digest(baseline.model)
+        assert history_key(resumed.history) == \
+            history_key(baseline.history)
+
+    def test_fused_false_is_refused(self, tiny_designs, in_features,
+                                    tmp_path):
+        trainer = make_trainer(tiny_designs, in_features)
+        path = tmp_path / CHECKPOINT_NAME
+        trainer.save_checkpoint(step=0, path=path)
+        _set_config_key(path, "fused", False)
+        with pytest.raises(CheckpointError, match="looped"):
+            load_checkpoint(path)
+        with pytest.raises(CheckpointError, match="looped"):
+            make_trainer(tiny_designs, in_features).load_checkpoint(path)
+
+
 class TestTrainerValidation:
     def test_config_mismatch_rejected(self, tiny_designs, in_features,
                                       tmp_path):
