@@ -30,7 +30,7 @@ import pytest
 
 from repro.experiments import build_dataset
 from repro.model import TimingPredictor
-from repro.train import OursTrainer, ParallelTrainer, TrainConfig
+from repro.train import OursTrainer, TrainConfig
 
 from .conftest import bench_seed, record
 
@@ -144,85 +144,9 @@ def _step_measurements(dataset):
     return stats
 
 
-#: Worker counts recorded in the parallel-scaling section.
-PARALLEL_WORKERS = (1, 2, 4)
-
-
-def _parallel_measurements(dataset):
-    """Shard-scaling stats for the data-parallel trainer.
-
-    The paper's train split has a single 7nm design, which caps the
-    usable shard count at one (every shard needs designs from both
-    nodes), so the scaling section runs over the train+test union —
-    4 source / 6 target designs — purely as a wall-clock workload.
-    ``single`` is the compiled single-process step on the same union;
-    the ``workers=1`` fleet must reproduce its loss stream bit for bit
-    (the lockstep contract), and the recorded N > 1 deviations document
-    the sharded objective's approximation (DESIGN.md §14).
-    """
-    designs = list(dataset.train) + list(dataset.test)
-    n_source = sum(1 for d in designs if d.node == "130nm")
-    n_target = len(designs) - n_source
-
-    def make(cls, **kwargs):
-        model = TimingPredictor(dataset.in_features, seed=bench_seed())
-        cfg = TrainConfig(seed=bench_seed(), holdout_fraction=0.0,
-                          compile=True, dtype="float64")
-        return cls(model, designs, cfg, **kwargs)
-
-    trainers = {"single": make(OursTrainer)}
-    for w in PARALLEL_WORKERS:
-        trainers[f"w{w}"] = make(ParallelTrainer, workers=w)
-    times = {key: [] for key in trainers}
-    losses = {key: [] for key in trainers}
-    try:
-        for trainer in trainers.values():
-            trainer.step(warmup=True)
-            trainer.step()
-        for _ in range(timed_steps()):
-            # Interleaved like _step_measurements, so all fleet sizes
-            # see the same noise windows.
-            for key, trainer in trainers.items():
-                rec = trainer.step()
-                times[key].append(rec["step_seconds"])
-                losses[key].append(rec["total"])
-    finally:
-        for trainer in trainers.values():
-            if isinstance(trainer, ParallelTrainer):
-                trainer.shutdown()
-
-    stats = {
-        "n_source": n_source,
-        "n_target": n_target,
-        "timed_steps": timed_steps(),
-        "single_seconds": min(times["single"]),
-        "single_mean": float(np.mean(times["single"])),
-        "single_std": float(np.std(times["single"])),
-        "workers": {},
-    }
-    for w in PARALLEL_WORKERS:
-        key = f"w{w}"
-        mean = float(np.mean(times[key]))
-        best = min(times[key])
-        stats["workers"][str(w)] = {
-            "requested": w,
-            "effective": trainers[key].workers,
-            "seconds": best,
-            "mean": mean,
-            "std": float(np.std(times[key])),
-            "speedup_min": stats["single_seconds"] / best,
-            "speedup_mean": stats["single_mean"] / mean,
-            "max_abs_loss_dev": float(max(
-                abs(a - b)
-                for a, b in zip(losses[key], losses["single"]))),
-        }
-    return stats
-
-
 @pytest.fixture(scope="module")
 def measurements(dataset, tmp_path_factory):
     train_step = _step_measurements(dataset)
-    parallel_scaling = _parallel_measurements(dataset)
 
     cache_dir = tmp_path_factory.mktemp("bench-cache")
     start = time.perf_counter()
@@ -234,7 +158,6 @@ def measurements(dataset, tmp_path_factory):
 
     return {
         "train_step": train_step,
-        "parallel_scaling": parallel_scaling,
         "dataset_build": {
             "cold_seconds": cold,
             "warm_seconds": warm,
@@ -267,21 +190,6 @@ def _render(measurements) -> str:
         "  compiled loss dev      "
         f"{m['max_abs_loss_dev_compiled']:.1e} abs (f64), "
         f"{m['max_rel_loss_dev_f32']:.1e} rel (f32)",
-    ]
-    p = measurements["parallel_scaling"]
-    lines.append(
-        f"parallel scaling ({p['n_source']} source + {p['n_target']} "
-        f"target designs, vs compiled single-process)")
-    lines.append(
-        f"  single        {p['single_seconds']:.3f} s/step "
-        f"(mean {p['single_mean']:.3f} +- {p['single_std']:.3f})")
-    for w, entry in sorted(p["workers"].items(), key=lambda kv: int(kv[0])):
-        lines.append(
-            f"  workers={w:<4s} {entry['seconds']:.3f} s/step "
-            f"(mean {entry['mean']:.3f})  "
-            f"{entry['speedup_mean']:.2f}x mean  "
-            f"loss dev {entry['max_abs_loss_dev']:.1e}")
-    lines += [
         "dataset build",
         f"  cold    {d['cold_seconds']:.2f} s",
         f"  warm    {d['warm_seconds']:.3f} s",
@@ -311,38 +219,6 @@ def test_compiled_step_is_bit_exact(measurements):
 
 def test_warm_dataset_build_beats_cold(measurements):
     assert measurements["dataset_build"]["speedup"] >= 5.0
-
-
-def test_parallel_one_worker_is_bit_exact(measurements):
-    """A one-worker fleet must reproduce the single-process loss stream
-    exactly — the lockstep contract the parallel trainer is built on."""
-    scaling = measurements["parallel_scaling"]
-    assert scaling["workers"]["1"]["max_abs_loss_dev"] == 0.0
-
-
-def test_parallel_deviation_is_bounded(measurements):
-    """N > 1 shards approximate the coupled terms; the deviation must
-    be finite and stay in the same ballpark as the loss itself."""
-    scaling = measurements["parallel_scaling"]
-    for entry in scaling["workers"].values():
-        assert np.isfinite(entry["max_abs_loss_dev"])
-
-
-def test_parallel_scaling_on_capable_machines(measurements):
-    """Speedup floors apply only where the cores exist to deliver them:
-    on a 1-CPU box the shards serialize and the honest numbers show it
-    (the regression gate conditions on cpu_count the same way)."""
-    cores = os.cpu_count() or 1
-    scaling = measurements["parallel_scaling"]["workers"]
-    if cores >= 4:
-        floor = 1.2 if smoke_mode() else 1.7
-        assert scaling["4"]["speedup_mean"] >= floor
-    elif cores >= 2:
-        floor = 1.05 if smoke_mode() else 1.3
-        assert scaling["2"]["speedup_mean"] >= floor
-    else:
-        pytest.skip("single CPU: shard workers serialize, no speedup "
-                    "to assert")
 
 
 def test_fused_training_preserves_accuracy(dataset):

@@ -23,13 +23,7 @@ Checks, each printed with a PASS/FAIL verdict:
 - ``train_step.max_abs_loss_dev_compiled`` must stay <= 1e-12: the
   compiled step's bit-for-bit contract is enforced here too, so the
   gate catches equivalence breakage even if the bench's own assert is
-  ever relaxed;
-- ``parallel_scaling.workers.1.max_abs_loss_dev`` must stay <= 1e-12
-  unconditionally — a one-worker fleet that drifts from the
-  single-process step broke the data-parallel lockstep contract;
-- ``parallel_scaling.workers.N.speedup_mean`` is compared against the
-  baseline only when both machines report at least N CPUs (a 1-CPU
-  box serializes the shards, so its "speedup" measures nothing).
+  ever relaxed.
 
 The mean-based ``compile_speedup`` headline (which includes the eager
 allocator/GC storms the compile layer removes) is deliberately *not*
@@ -70,83 +64,6 @@ def load_train_step(path: str) -> dict:
     return load_payload(path)["train_step"]
 
 
-def _cpu_count(payload: dict) -> int:
-    machine = payload.get("machine") or {}
-    count = machine.get("cpu_count")
-    return int(count) if isinstance(count, (int, float)) and count else 1
-
-
-def check_parallel(baseline: dict, candidate: dict,
-                   tolerance: float) -> list:
-    """Verdicts for the ``parallel_scaling`` section.
-
-    The ``workers=1`` bit-exactness contract is machine-independent and
-    gated unconditionally.  Scaling ratios are only meaningful where
-    the cores exist to deliver them, so a worker count's speedup is
-    compared against the baseline only when *both* machines have at
-    least that many CPUs; otherwise the entry is reported as
-    informational.  A candidate without the section fails outright —
-    that's the regression the gate exists to catch.
-    """
-    verdicts = []
-    cand_section = candidate.get("parallel_scaling")
-    if not isinstance(cand_section, dict):
-        return [(False, "parallel_scaling: missing from candidate")]
-    base_section = baseline.get("parallel_scaling")
-    if not isinstance(base_section, dict):
-        # Baseline predates the section: enforce the exactness contract
-        # on the candidate alone.
-        base_section = {}
-
-    dev = (cand_section.get("workers", {}).get("1", {})
-           .get("max_abs_loss_dev"))
-    if not isinstance(dev, (int, float)):
-        verdicts.append((False, "parallel_scaling workers=1 "
-                                "max_abs_loss_dev: missing from "
-                                "candidate"))
-    else:
-        verdicts.append((dev <= MAX_LOSS_DEV,
-                         f"parallel_scaling workers=1 loss dev: "
-                         f"{dev:.1e} (ceiling {MAX_LOSS_DEV:.0e})"))
-
-    base_cpus = _cpu_count(baseline)
-    cand_cpus = _cpu_count(candidate)
-    base_workers = base_section.get("workers", {})
-    for count, cand_entry in sorted(cand_section.get("workers", {})
-                                    .items(), key=lambda kv: int(kv[0])):
-        if int(count) < 2:
-            # workers=1 exists for the exactness contract above; its
-            # mean-based "speedup" only measures how many allocator
-            # storms the single-process reference happened to absorb,
-            # so it is as ungated as compile_speedup.
-            continue
-        base_entry = base_workers.get(count)
-        cand_speedup = cand_entry.get("speedup_mean")
-        if base_entry is None \
-                or not isinstance(base_entry.get("speedup_mean"),
-                                  (int, float)):
-            continue
-        if min(base_cpus, cand_cpus) < int(count):
-            print(f"[info] parallel_scaling workers={count}: not gated "
-                  f"(needs {count} CPUs; baseline has {base_cpus}, "
-                  f"candidate {cand_cpus}); candidate "
-                  f"{cand_speedup if isinstance(cand_speedup, (int, float)) else float('nan'):.2f}x")
-            continue
-        base_speedup = base_entry["speedup_mean"]
-        if not isinstance(cand_speedup, (int, float)):
-            verdicts.append((False, f"parallel_scaling workers={count} "
-                                    "speedup_mean: missing from "
-                                    "candidate"))
-            continue
-        floor = base_speedup * (1.0 - tolerance)
-        verdicts.append(
-            (cand_speedup >= floor,
-             f"parallel_scaling workers={count} speedup: "
-             f"{cand_speedup:.2f}x vs baseline {base_speedup:.2f}x "
-             f"(floor {floor:.2f}x)"))
-    return verdicts
-
-
 def check(baseline: dict, candidate: dict, tolerance: float) -> list:
     """List of ``(ok, message)`` verdicts for every gated field."""
     verdicts = []
@@ -185,17 +102,13 @@ def main(argv=None) -> int:
                              "(default 0.25 = 25%%)")
     args = parser.parse_args(argv)
 
-    baseline_payload = load_payload(args.baseline)
-    candidate_payload = load_payload(args.candidate)
-    baseline = baseline_payload["train_step"]
-    candidate = candidate_payload["train_step"]
+    baseline = load_train_step(args.baseline)
+    candidate = load_train_step(args.candidate)
     for field in CONTEXT_FIELDS:
         print(f"[info] {field}: candidate "
               f"{candidate.get(field, float('nan')):.4f}, baseline "
               f"{baseline.get(field, float('nan')):.4f}")
     verdicts = check(baseline, candidate, args.tolerance)
-    verdicts += check_parallel(baseline_payload, candidate_payload,
-                               args.tolerance)
     failed = False
     for ok, message in verdicts:
         print(f"[{'PASS' if ok else 'FAIL'}] {message}")

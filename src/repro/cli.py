@@ -25,7 +25,7 @@ import numpy as np
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for counts that must be >= 1 (e.g. --workers)."""
+    """argparse type for counts that must be >= 1 (e.g. --build-workers)."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(
@@ -194,12 +194,9 @@ def cmd_train(args) -> int:
     from .train import (
         CHECKPOINT_NAME,
         OursTrainer,
-        ParallelTrainer,
         TrainConfig,
         load_checkpoint,
         r2_score,
-        resolve_worker_count,
-        split_by_node,
     )
     from .util import get_timings, reset_timings, timing_report
 
@@ -252,26 +249,12 @@ def cmd_train(args) -> int:
             dataset = build_dataset(workers=args.build_workers,
                                     use_cache=not args.no_cache,
                                     cache_dir=args.cache_dir)
-        # Training parallelism is an execution choice, not part of the
-        # training config: any --workers value resumes any checkpoint
-        # (the parent owns every RNG draw and the optimizer state), so
-        # --workers stays live on --resume invocations too.  Bit-exact
-        # continuation of a parallel run needs the original count.
-        workers = args.workers
-        if workers is not None:
-            source, target = split_by_node(dataset.train,
-                                           target_node=config.target_node)
-            workers, notes = resolve_worker_count(
-                workers, n_source=len(source), n_target=len(target))
-            for note in notes:
-                print(f"warning: {note}")
         if checkpoint is None:
             extra = {"dataset": {"scale": DATASET_SCALE["scale"],
                                  "resolution":
                                      DATASET_SCALE["resolution"],
                                  "workers": args.build_workers,
-                                 "use_cache": not args.no_cache},
-                     "parallel": {"workers": workers}}
+                                 "use_cache": not args.no_cache}}
             if ladder is not None:
                 extra["ladder"] = {"spec": ladder.spec,
                                    "target_node": config.target_node,
@@ -287,19 +270,12 @@ def cmd_train(args) -> int:
                                      resumed_from_step=checkpoint.step)
         model_seed = config.seed if checkpoint is not None else args.seed
         model = TimingPredictor(dataset.in_features, seed=model_seed)
-        if workers is not None:
-            trainer = ParallelTrainer(model, dataset.train, config,
-                                      logger=logger, workers=workers)
-        else:
-            trainer = OursTrainer(model, dataset.train, config,
-                                  logger=logger)
+        trainer = OursTrainer(model, dataset.train, config, logger=logger)
         trainer.profile_ops = bool(args.profile)
         if checkpoint is not None:
             trainer.load_checkpoint(run_dir / CHECKPOINT_NAME)
         else:
-            suffix = "" if workers is None \
-                else f" across {workers} worker process(es)"
-            print(f"training ours for {config.steps} steps{suffix} ...")
+            print(f"training ours for {config.steps} steps ...")
 
         sig_state: dict = {}
         previous_handlers = _install_stop_handlers(trainer, sig_state)
@@ -558,15 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-node", default=None, metavar="NODE",
                    help="transfer target node (default: the smallest "
                         "of --nodes); requires --nodes")
-    p.add_argument("--workers", type=_positive_int, default=None,
-                   metavar="N",
-                   help="data-parallel training worker processes: the "
-                        "step's design union is sharded across N "
-                        "forked workers and the parent averages their "
-                        "gradients (default: single-process step; "
-                        "--workers 1 is bit-identical to it; clamped "
-                        "to the CPU count and to the usable shard "
-                        "count with a warning)")
     p.add_argument("--build-workers", type=_positive_int, default=1,
                    metavar="N",
                    help="processes for cold dataset builds")

@@ -9,7 +9,6 @@ Public surface:
 - optimisers in :mod:`repro.nn.optim`
 """
 
-from . import flat
 from . import functional
 from . import init
 from .compile import (CompiledStep, CompileError, ReplayMismatch,
@@ -74,7 +73,6 @@ __all__ = [
     "as_tensor",
     "concatenate",
     "enable_grad",
-    "flat",
     "functional",
     "gather_rows",
     "init",

@@ -73,22 +73,18 @@ def current_tape() -> Optional[Tape]:
 
 
 def push_tape(tape: Tape) -> None:
-    # repro-check: disable=parallel-safety -- tracing state is per-process by design: a shard worker traces its own compiled program and never shares a tape with the parent
     global ACTIVE
     if current_tape() is not None:
         raise RuntimeError("a trace is already active on this thread")
-    # repro-check: disable=parallel-safety -- thread/process-local trace slot; worker-side tapes are intentionally invisible to the parent
     _STATE.tape = tape
     ACTIVE = True
 
 
 def pop_tape() -> Tape:
-    # repro-check: disable=parallel-safety -- tracing state is per-process by design: a shard worker traces its own compiled program and never shares a tape with the parent
     global ACTIVE
     tape = current_tape()
     if tape is None:
         raise RuntimeError("no trace is active on this thread")
-    # repro-check: disable=parallel-safety -- thread/process-local trace slot; worker-side tapes are intentionally invisible to the parent
     _STATE.tape = None
     ACTIVE = False
     return tape

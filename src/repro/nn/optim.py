@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 import numpy as np
 
@@ -73,22 +73,6 @@ class Optimizer:
                 )
             out.append(buf.copy())
         return out
-
-    def load_flat_grads(self, flat: np.ndarray,
-                        mask: Optional[Sequence[bool]] = None) -> None:
-        """Adopt externally computed gradients from a flat vector.
-
-        The entry point for data-parallel training: the parent process
-        averages per-shard gradient buffers (packed by
-        :func:`repro.nn.flat.write_grads`) and hands the result here,
-        after which :meth:`clip_grad_norm` and :meth:`step` behave
-        exactly as if the gradients came from a local ``backward()``.
-        ``mask`` preserves the ``None``-gradient skip structure — see
-        :mod:`repro.nn.flat`.
-        """
-        from .flat import read_grads
-
-        read_grads(self.parameters, flat, mask)
 
     def clip_grad_norm(self, max_norm: float) -> float:
         """Scale gradients so their global L2 norm is at most ``max_norm``.

@@ -25,8 +25,9 @@ __all__ = ["load_run", "manifest_diff", "render_loss_curve", "render_run"]
 _NON_SERIES_FIELDS = frozenset({
     "kind", "step", "lr", "step_seconds", "warmup", "stage",
     "grad_norm", "grad_norm_clipped",
-    # Data-parallel execution telemetry (ParallelTrainer step records)
-    # — machine facts, not loss series.
+    # Execution telemetry of the since-removed data-parallel trainer:
+    # older steps.jsonl files carry these per-step machine facts, which
+    # are not loss series.
     "workers", "shard_seconds_max", "shard_seconds_mean",
 })
 

@@ -8,10 +8,8 @@ from .checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from .fused import (FusedDesignBatch, merge_pin_graphs, partition_counts,
-                    slice_ranges)
+from .fused import FusedDesignBatch, merge_pin_graphs, slice_ranges
 from .metrics import evaluate_per_design, mae, r2_score, rmse
-from .parallel import ParallelTrainer, WorkerError, resolve_worker_count
 from .strategies import (
     BASELINE_STRATEGIES,
     measure_inference_runtime,
@@ -29,16 +27,12 @@ __all__ = [
     "CheckpointError",
     "FusedDesignBatch",
     "OursTrainer",
-    "ParallelTrainer",
     "TrainConfig",
     "TrainingCheckpoint",
-    "WorkerError",
     "load_checkpoint",
     "save_checkpoint",
     "evaluate_per_design",
     "merge_pin_graphs",
-    "partition_counts",
-    "resolve_worker_count",
     "slice_ranges",
     "mae",
     "measure_inference_runtime",

@@ -85,9 +85,10 @@ class TrainingCheckpoint:
     swa_sum: Optional[List[np.ndarray]] = None
     swa_count: int = 0
     history: List[Dict[str, Any]] = field(default_factory=list)
-    #: Informational execution metadata (e.g. the worker count of a
-    #: data-parallel run).  Never binding: the math is identical for
-    #: any worker count, so a resume may use a different one.
+    #: Informational metadata (the trainer records its node chain and
+    #: target node).  Never binding: resume validates the config, not
+    #: this dict, so unknown keys are ignored — e.g. ``workers`` in
+    #: checkpoints written by the since-removed data-parallel trainer.
     extra: Dict[str, Any] = field(default_factory=dict)
 
 

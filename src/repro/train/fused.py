@@ -28,8 +28,7 @@ from ..features import PinGraph
 from ..flow import DesignData
 from ..nn import Tensor, concatenate
 
-__all__ = ["FusedDesignBatch", "merge_pin_graphs", "partition_counts",
-           "slice_ranges"]
+__all__ = ["FusedDesignBatch", "merge_pin_graphs", "slice_ranges"]
 
 
 def merge_pin_graphs(graphs: Sequence[PinGraph]) -> PinGraph:
@@ -79,25 +78,6 @@ def slice_ranges(counts: Sequence[int]) -> List[Tuple[int, int]]:
     """``[(start, stop)]`` ranges of consecutive blocks of given sizes."""
     bounds = np.cumsum([0] + list(counts))
     return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-def partition_counts(total: int, parts: int) -> List[int]:
-    """Sizes of ``parts`` balanced contiguous blocks covering ``total``.
-
-    The first ``total % parts`` blocks get one extra element
-    (``numpy.array_split`` semantics), so sizes differ by at most one
-    and concatenating the blocks in order reproduces the original
-    sequence.  This is the shard boundary of the data-parallel trainer:
-    each worker owns one contiguous block of the source designs and one
-    of the target designs, preserving the global source-then-target
-    design order within its shard.
-    """
-    if parts < 1:
-        raise ValueError(f"parts must be >= 1, got {parts}")
-    if total < 0:
-        raise ValueError(f"total must be >= 0, got {total}")
-    base, extra = divmod(total, parts)
-    return [base + (1 if i < extra else 0) for i in range(parts)]
 
 
 class FusedDesignBatch:

@@ -190,9 +190,10 @@ class OursTrainer:
                 + [self.target_node]
         groups = {node: [d for d in designs if d.node == node]
                   for node in order}
-        # Shard-local trainers (repro.train.worker) may see only a
-        # subset of the chain's nodes; empty groups are dropped so the
-        # per-node blocks stay well-formed.
+        # A --nodes chain with more source nodes than source designs
+        # leaves a node empty (the ladder split deals source designs
+        # round-robin across the source nodes); empty groups are
+        # dropped so the per-node blocks stay well-formed.
         self.node_order: List[str] = [n for n in order if groups[n]]
         self.node_groups: Dict[str, List[DesignData]] = {
             n: groups[n] for n in self.node_order}
@@ -318,13 +319,9 @@ class OursTrainer:
             swa_sum=self._swa_sum,
             swa_count=self._swa_count,
             history=self.history,
-            extra=self._checkpoint_extra(),
+            extra={"nodes": list(self.node_order),
+                   "target_node": self.target_node},
         )
-
-    def _checkpoint_extra(self) -> Dict[str, object]:
-        """Informational metadata for the checkpoint (never binding)."""
-        return {"nodes": list(self.node_order),
-                "target_node": self.target_node}
 
     def load_checkpoint(self, path: Union[str, Path]
                         ) -> TrainingCheckpoint:
@@ -433,32 +430,32 @@ class OursTrainer:
                                                 self.rng))
         return subsets
 
-    def _batch_inputs(self, subsets: List[np.ndarray]
-                      ) -> Dict[str, np.ndarray]:
-        """The fused batch's per-step gather results (rows + images)."""
-        if self._fused_batch is None:
-            self._fused_batch = FusedDesignBatch(self.source + self.target)
-        batch = self._fused_batch
-        return {"rows": batch.merged_endpoint_rows(subsets),
-                "images": batch.stacked_path_images(subsets)}
+    def _step_inputs(self, subsets: List[np.ndarray]) -> Dict[str, np.ndarray]:
+        """Everything that varies between steps, as named plain arrays.
 
-    def _noise_inputs(self, subsets: List[np.ndarray]
-                      ) -> Dict[str, np.ndarray]:
-        """Per-design labels and pre-drawn reparameterisation noise.
+        These are the per-step inputs of the (compiled or eager) loss
+        graph: the merged endpoint rows and stacked layout images of
+        the fused batch, each design's labels, and the pre-drawn
+        reparameterisation noise.
 
         Drawing the noise *here* — in the exact order the historical
         in-graph sampling consumed the generator (per design: posterior
         draw, then prior draw when ``prior_weight > 0``) — keeps the
         run's random stream byte-identical while making the loss a pure
         function of its inputs, which is what lets a compiled replay
-        reproduce eager execution bit for bit, and what lets the
-        data-parallel trainer pre-draw every shard's noise in the
-        parent (see :mod:`repro.train.parallel`).
+        reproduce eager execution bit for bit.  The batch gathers draw
+        no random numbers, so only the noise touches the generator.
         """
+        if self._fused_batch is None:
+            self._fused_batch = FusedDesignBatch(self.source + self.target)
+        batch = self._fused_batch
+        inputs: Dict[str, np.ndarray] = {
+            "rows": batch.merged_endpoint_rows(subsets),
+            "images": batch.stacked_path_images(subsets),
+        }
         cfg = self.config
         readout = self.model.readout
         m = readout.feature_size
-        inputs: Dict[str, np.ndarray] = {}
         for i, (design, subset) in enumerate(zip(self.source + self.target,
                                                  subsets)):
             labels = np.asarray(design.labels[subset], dtype=float)
@@ -466,19 +463,6 @@ class OursTrainer:
             inputs[f"eps_q{i}"] = readout.draw_noise((len(subset), m))
             if cfg.prior_weight > 0.0:
                 inputs[f"eps_p{i}"] = readout.draw_noise((1, m))
-        return inputs
-
-    def _step_inputs(self, subsets: List[np.ndarray]) -> Dict[str, np.ndarray]:
-        """Everything that varies between steps, as named plain arrays.
-
-        These are the per-step inputs of the (compiled or eager) loss
-        graph: the merged endpoint rows and stacked layout images of
-        the fused batch, each design's labels, and the pre-drawn
-        reparameterisation noise (see :meth:`_noise_inputs` for why the
-        noise is drawn outside the graph).
-        """
-        inputs = self._batch_inputs(subsets)
-        inputs.update(self._noise_inputs(subsets))
         return inputs
 
     def _loss_parts(self, warmup: bool, subsets: List[np.ndarray],
@@ -633,26 +617,6 @@ class OursTrainer:
         return {"total": total.item(), "elbo": elbo.item(),
                 "contrastive": clr.item(), "cmd": cmd.item()}
 
-    def compute_gradients(self, warmup: bool, subsets: List[np.ndarray],
-                          inputs: Dict[str, np.ndarray]
-                          ) -> Dict[str, float]:
-        """Forward + backward over prepared inputs; no optimiser step.
-
-        Leaves every parameter's ``.grad`` populated with the loss
-        gradients of this batch and returns the scalar loss parts
-        (``total``/``elbo``/``contrastive``/``cmd``).  This is the unit
-        of work a data-parallel shard worker executes: the caller (the
-        single-process :meth:`step`, or the parallel parent after
-        averaging shard gradients) applies clipping and the optimiser
-        update.
-        """
-        values = None
-        if self.config.compile:
-            values = self._grads_compiled(warmup, subsets, inputs)
-        if values is None:
-            values = self._grads_eager(warmup, subsets, inputs)
-        return values
-
     def step(self, warmup: bool = False) -> Dict[str, float]:
         """One optimisation step over all designs; returns loss parts.
 
@@ -676,7 +640,11 @@ class OursTrainer:
         cfg = self.config
         subsets = self._sample_subsets()
         inputs = self._step_inputs(subsets)
-        values = self.compute_gradients(warmup, subsets, inputs)
+        values = None
+        if cfg.compile:
+            values = self._grads_compiled(warmup, subsets, inputs)
+        if values is None:
+            values = self._grads_eager(warmup, subsets, inputs)
         grad_norm = float(self.optimizer.clip_grad_norm(cfg.grad_clip))
         self.optimizer.step()
         return {

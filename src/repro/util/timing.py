@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import time
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping
 
 #: name -> {"calls": int, "seconds": float}
 _REGISTRY: Dict[str, Dict[str, float]] = {}
@@ -83,49 +83,27 @@ def record(name: str, seconds: float) -> None:
 
 
 def get_timings() -> Dict[str, Dict[str, float]]:
-    """Deep snapshot of the registry: ``{name: {"calls", "seconds"}}``.
+    """Snapshot of the registry: ``{name: {"calls", "seconds"}}``.
 
-    Entries that absorbed worker snapshots (see :func:`merge_timings`)
-    also carry a ``"by_worker"`` sub-dict; the snapshot is fully
-    detached, so callers may keep it across a :func:`reset_timings`.
+    The snapshot is detached, so callers may keep it across a
+    :func:`reset_timings`.
     """
-    out: Dict[str, Dict[str, float]] = {}
-    for name, entry in _REGISTRY.items():
-        copied: Dict[str, float] = {"calls": entry["calls"],
-                                    "seconds": entry["seconds"]}
-        if "by_worker" in entry:
-            copied["by_worker"] = {label: dict(slot) for label, slot
-                                   in entry["by_worker"].items()}
-        out[name] = copied
-    return out
+    return {name: dict(entry) for name, entry in _REGISTRY.items()}
 
 
-def merge_timings(timings: Mapping[str, Mapping[str, float]],
-                  worker: Optional[str] = None) -> None:
+def merge_timings(timings: Mapping[str, Mapping[str, float]]) -> None:
     """Fold another registry snapshot into this process's registry.
 
     Used by the parent process to absorb the per-phase accumulators
     worker processes report back, so subprocess work shows up in the
-    same ``timing_report()`` as in-process work.  With ``worker=``
-    (a label like ``"w0"``), the contribution is *also* accumulated
-    under the entry's ``"by_worker"`` sub-dict, which
-    :func:`format_timing_table` renders as a per-worker attribution
-    column — the data-parallel trainer merges every shard's snapshot
-    each step under its shard label.
+    same ``timing_report()`` as in-process work.
     """
     for name, entry in timings.items():
         acc = _REGISTRY.get(name)
         if acc is None:
             acc = _REGISTRY[name] = {"calls": 0, "seconds": 0.0}
-        calls = int(entry.get("calls", 0))
-        seconds = float(entry.get("seconds", 0.0))
-        acc["calls"] += calls
-        acc["seconds"] += seconds
-        if worker is not None:
-            by = acc.setdefault("by_worker", {})
-            slot = by.setdefault(worker, {"calls": 0, "seconds": 0.0})
-            slot["calls"] += calls
-            slot["seconds"] += seconds
+        acc["calls"] += int(entry.get("calls", 0))
+        acc["seconds"] += float(entry.get("seconds", 0.0))
 
 
 def reset_timings() -> None:
@@ -135,38 +113,19 @@ def reset_timings() -> None:
 
 
 def format_timing_table(timings: Mapping[str, Mapping[str, float]]) -> str:
-    """Render any registry snapshot as an aligned table (total-sorted).
-
-    When any entry carries a ``"by_worker"`` sub-dict (snapshots from
-    a multi-process run, see :func:`merge_timings`), a ``worker``
-    column appears: each phase's aggregate row is tagged ``all`` and is
-    followed by one attribution row per worker label.
-    """
+    """Render any registry snapshot as an aligned table (total-sorted)."""
     if not timings:
         return "(no timings recorded)"
     rows = sorted(timings.items(), key=lambda kv: -kv[1]["seconds"])
-    has_workers = any(entry.get("by_worker") for _, entry in rows)
     width = max(len(name) for name, _ in rows)
-    wwidth = max([len("worker"), len("all")]
-                 + [len(label) for _, entry in rows
-                    for label in entry.get("by_worker", {})]) \
-        if has_workers else 0
-
-    def _line(name: str, label: str, entry: Mapping[str, float]) -> str:
+    lines = [f"{'phase':<{width}}  {'calls':>7}  {'total s':>9}  "
+             f"{'mean ms':>9}"]
+    for name, entry in rows:
         calls = int(entry["calls"])
         total = entry["seconds"]
         mean_ms = 1e3 * total / max(calls, 1)
-        cell = f"{label:<{wwidth}}  " if has_workers else ""
-        return (f"{name:<{width}}  {cell}{calls:>7d}  {total:>9.3f}  "
-                f"{mean_ms:>9.3f}")
-
-    header_cell = f"{'worker':<{wwidth}}  " if has_workers else ""
-    lines = [f"{'phase':<{width}}  {header_cell}{'calls':>7}  "
-             f"{'total s':>9}  {'mean ms':>9}"]
-    for name, entry in rows:
-        lines.append(_line(name, "all", entry))
-        for label in sorted(entry.get("by_worker", {})):
-            lines.append(_line(name, label, entry["by_worker"][label]))
+        lines.append(f"{name:<{width}}  {calls:>7d}  {total:>9.3f}  "
+                     f"{mean_ms:>9.3f}")
     return "\n".join(lines)
 
 

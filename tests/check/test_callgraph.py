@@ -200,9 +200,8 @@ class TestWorkerSites:
         assert sites[0].target_qualname == "pkg.a.work"
 
     def test_mp_context_process_constructor(self, tmp_path):
-        """`ctx = get_context(...); ctx.Process(target=...)` — the
-        spelling the data-parallel trainer uses — is a process
-        hand-off even though `ctx` is an unresolvable local."""
+        """`ctx = get_context(...); ctx.Process(target=...)` is a
+        process hand-off even though `ctx` is an unresolvable local."""
         program = _build(tmp_path, {
             "a.py": ("import multiprocessing\n"
                      "def work(ch):\n"
@@ -226,15 +225,14 @@ class TestWorkerSites:
         assert program.worker_sites() == []
 
     def test_real_package_worker_site(self):
-        # The repo's process hand-offs: the flow cache's parallel
-        # cold-build fan-out and the data-parallel shard fleet.
+        # The repo's process hand-off: the flow cache's parallel
+        # cold-build fan-out.
         import repro
 
         program = Program.build(Path(repro.__file__).parent, "repro")
         targets = {s.target_qualname for s in program.worker_sites()
                    if s.kind == "process"}
         assert "repro.flow.cache._flow_worker" in targets
-        assert "repro.train.worker.shard_worker_main" in targets
 
 
 # ----------------------------------------------------------------------

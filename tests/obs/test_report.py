@@ -98,6 +98,22 @@ class TestRenderRun:
         assert "lr  [first" not in out
         assert "step_seconds  [first" not in out
 
+    def test_legacy_parallel_telemetry_is_not_charted(self, tmp_path):
+        """Older steps.jsonl files (runs of the since-removed
+        data-parallel trainer) carry per-step execution facts; they
+        draw no chart, while the loss series still do."""
+        with RunLogger(tmp_path / "run") as logger:
+            for t in range(3):
+                logger.log_step(t, {"lr": 1e-3, "step_seconds": 0.01,
+                                    "total": 1.0 / (t + 1), "workers": 2,
+                                    "shard_seconds_max": 0.02,
+                                    "shard_seconds_mean": 0.015})
+        out = render_run(tmp_path / "run")
+        assert "total  [first" in out
+        for field in ("workers", "shard_seconds_max",
+                      "shard_seconds_mean"):
+            assert f"{field}  [first" not in out
+
     def test_empty_dir_renders_placeholders(self, tmp_path):
         out = render_run(tmp_path)
         assert "(no manifest.json)" in out

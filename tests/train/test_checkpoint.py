@@ -10,6 +10,7 @@ import pytest
 from repro.features import GateVocabulary, normalize_features
 from repro.flow import run_flow
 from repro.infer import weight_digest
+from repro.infer.cache import named_tensors
 from repro.model import TimingPredictor
 from repro.nn import CheckpointError
 from repro.techlib import make_asap7_library, make_sky130_library
@@ -201,6 +202,57 @@ class TestRetiredFusedKey:
             load_checkpoint(path)
         with pytest.raises(CheckpointError, match="looped"):
             make_trainer(tiny_designs, in_features).load_checkpoint(path)
+
+
+class TestWorkersExtra:
+    """Checkpoints written by data-parallel ``repro train --workers N``
+    runs carry ``extra["workers"]``.  ``extra`` is informational, so
+    such a checkpoint still resumes in the single-process trainer."""
+
+    def test_single_process_checkpoint_has_empty_extra(self, tiny_designs,
+                                                       in_features,
+                                                       tmp_path):
+        trainer = make_trainer(tiny_designs, in_features)
+        path = tmp_path / "ckpt.npz"
+        trainer.step(warmup=True)
+        trainer.save_checkpoint(step=1, path=path)
+        extra = load_checkpoint(path).extra
+        assert "workers" not in extra
+        assert extra["nodes"] == ["130nm", "7nm"]
+        assert extra["target_node"] == "7nm"
+
+    def test_workers_extra_resumes_bit_exact(self, tiny_designs,
+                                             in_features, tmp_path):
+        baseline = make_trainer(tiny_designs, in_features)
+        baseline.fit()
+
+        path = tmp_path / CHECKPOINT_NAME
+        victim = make_trainer(tiny_designs, in_features,
+                              checkpoint_path=path)
+        interfere_after(victim, 4, lambda tr: tr.request_stop())
+        victim.fit()
+
+        def add_workers(staged):
+            meta = json.loads(str(staged["meta"]))
+            meta["extra"]["workers"] = 2
+            staged["meta"] = np.array(json.dumps(meta))
+
+        _rewrite_archive(path, add_workers)
+        assert load_checkpoint(path).extra["workers"] == 2
+
+        resumed = make_trainer(tiny_designs, in_features,
+                               checkpoint_path=path)
+        resumed.load_checkpoint(path)
+        resumed.fit()
+        assert len(resumed.history) == len(baseline.history)
+        for key in ("total", "elbo", "contrastive", "cmd", "grad_norm"):
+            assert np.array_equal([r[key] for r in resumed.history],
+                                  [r[key] for r in baseline.history]), key
+        want = dict(named_tensors(baseline.model))
+        got = dict(named_tensors(resumed.model))
+        assert got.keys() == want.keys()
+        for name in want:
+            assert np.array_equal(got[name].data, want[name].data), name
 
 
 class TestTrainerValidation:

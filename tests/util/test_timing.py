@@ -135,50 +135,6 @@ class TestMerge:
         assert format_timing_table({}) == "(no timings recorded)"
 
 
-class TestWorkerAttribution:
-    """merge_timings(worker=...) — the data-parallel per-shard merge."""
-
-    def test_worker_label_accumulates_by_worker(self):
-        merge_timings({"train.fused": {"calls": 1, "seconds": 0.5}},
-                      worker="w0")
-        merge_timings({"train.fused": {"calls": 1, "seconds": 0.25}},
-                      worker="w1")
-        merge_timings({"train.fused": {"calls": 1, "seconds": 0.25}},
-                      worker="w1")
-        entry = get_timings()["train.fused"]
-        assert entry["calls"] == 3
-        assert entry["seconds"] == 1.0
-        assert entry["by_worker"]["w0"] == {"calls": 1, "seconds": 0.5}
-        assert entry["by_worker"]["w1"] == {"calls": 2, "seconds": 0.5}
-
-    def test_unlabelled_merge_keeps_aggregate_only(self):
-        merge_timings({"plain": {"calls": 1, "seconds": 0.1}})
-        assert "by_worker" not in get_timings()["plain"]
-
-    def test_snapshot_detaches_by_worker(self):
-        merge_timings({"p": {"calls": 1, "seconds": 1.0}}, worker="w0")
-        snap = get_timings()
-        snap["p"]["by_worker"]["w0"]["calls"] = 99
-        assert get_timings()["p"]["by_worker"]["w0"]["calls"] == 1
-
-    def test_table_adds_worker_column_when_attributed(self):
-        merge_timings({"step": {"calls": 2, "seconds": 0.5}}, worker="w0")
-        merge_timings({"step": {"calls": 2, "seconds": 0.3}}, worker="w1")
-        table = format_timing_table(get_timings())
-        lines = table.splitlines()
-        assert "worker" in lines[0]
-        body = [ln for ln in lines[1:] if ln.strip()]
-        # Aggregate row first, then one attribution row per label.
-        assert "all" in body[0]
-        assert "w0" in body[1]
-        assert "w1" in body[2]
-
-    def test_table_has_no_worker_column_without_attribution(self):
-        merge_timings({"solo": {"calls": 1, "seconds": 0.1}})
-        table = format_timing_table(get_timings())
-        assert "worker" not in table.splitlines()[0]
-
-
 class TestReport:
     def test_empty_report(self):
         assert "no timings" in timing_report()
@@ -195,3 +151,11 @@ class TestReport:
             pass
         reset_timings()
         assert get_timings() == {}
+
+    def test_snapshot_is_detached(self):
+        merge_timings({"p": {"calls": 1, "seconds": 1.0}})
+        snap = get_timings()
+        snap["p"]["calls"] = 99
+        assert get_timings()["p"]["calls"] == 1
+        reset_timings()
+        assert snap["p"] == {"calls": 99, "seconds": 1.0}
