@@ -1,8 +1,9 @@
 """Repo-specific correctness tooling: static lint + autograd audit.
 
 The model runs on a hand-rolled autograd engine with one
-implementation per op (the :mod:`repro.nn.functional` ops, their
-compiled ``out=`` kernels and the fused levelised sweep), where bugs
+implementation per op (the :mod:`repro.nn.ops` registry: a numpy
+forward and backward per primitive, the fused levelised sweep
+included, run by eager and compiled execution alike), where bugs
 corrupt results silently instead of crashing.  The finite-difference
 gradcheck is the oracle every op answers to; this package makes that
 and the other checks mechanical:

@@ -14,15 +14,16 @@ Three layers of checking per recorded op:
 - **dtype discipline** (central): the engine contract is float64 end to
   end, so a floating output narrower than its widest floating input is
   a silent-precision bug;
-- **aliasing discipline** (central): only the view ops (``reshape``,
-  ``transpose``, ``getitem``) may return a buffer sharing memory with
-  an input — anywhere else, a kernel writing through that buffer on
-  replay would corrupt its own operand;
+- **aliasing discipline** (central): only the view ops (``Op.alias``
+  in :data:`repro.nn.ops.OPS`: ``reshape``, ``transpose``,
+  ``getitem``) may return a buffer sharing memory with an input —
+  anywhere else, an op writing through that buffer on replay would
+  corrupt its own operand;
 - **shape contract** (per-op, registered in :data:`CONTRACTS`): the
   output shape must follow from the input shapes and attrs under the
-  op's documented rule.  Coverage is audited: a kernel registered in
-  ``compile.KERNELS`` with no contract here is itself a finding, so new
-  ops cannot silently opt out.
+  op's documented rule.  Coverage is audited: a registry op
+  (``compile.KERNELS`` is the registry) with no contract here is
+  itself a finding, so new ops cannot silently opt out.
 
 ``run_contract_checks`` drives the whole suite over every gradcheck
 case: each case is traced (eager forward only) and its tape validated.
@@ -34,10 +35,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..nn.ops import OPS
 from .rules import Finding
 
 #: Ops whose output is *expected* to be a view of input 0.
-VIEW_OPS = frozenset({"reshape", "transpose", "getitem"})
+VIEW_OPS = frozenset(name for name, op in OPS.items() if op.alias)
 
 #: op name -> shape contract.  A contract receives a
 #: :class:`repro.nn.compile.TraceOp` and returns an error message, or
@@ -311,8 +313,6 @@ def _c_levelized_sweep(rec) -> Optional[str]:
 # ----------------------------------------------------------------------
 def check_records(records, label: str) -> List[Finding]:
     """Validate one tape's metadata records; empty list = clean."""
-    from ..nn.compile import KERNELS
-
     findings: List[Finding] = []
 
     def report(rec, message: str) -> None:
@@ -321,7 +321,7 @@ def check_records(records, label: str) -> List[Finding]:
             f"op {rec.index} ({rec.op}): {message}"))
 
     for rec in records:
-        if rec.op not in KERNELS:
+        if rec.op not in OPS:
             report(rec, "op has no registered compile kernel; the tape "
                         "cannot compile")
             continue
@@ -351,15 +351,13 @@ def check_records(records, label: str) -> List[Finding]:
 
 
 def audit_contract_coverage() -> List[Finding]:
-    """Every registered compile kernel needs a shape/dtype contract."""
-    from ..nn.compile import KERNELS
-
+    """Every registry op needs a shape/dtype contract."""
     findings: List[Finding] = []
-    for op in sorted(KERNELS):
+    for op in sorted(OPS):
         if op not in CONTRACTS:
             findings.append(Finding(
-                "contract-coverage", f"repro.nn.compile.{op}", 0,
-                f"compile kernel '{op}' has no shape/dtype contract; "
+                "contract-coverage", f"repro.nn.ops.{op}", 0,
+                f"registry op '{op}' has no shape/dtype contract; "
                 "register one with @repro.check.contracts.contract",
             ))
     return findings

@@ -3,12 +3,11 @@
 Generalises the one-off finite-difference harness in
 ``tests/nn/test_tensor.py`` into a registry-driven audit:
 
-- every public op of :mod:`repro.nn.functional` must have at least one
-  registered :class:`OpCase` (coverage is itself audited, so a new op
-  that forgets to enroll fails ``repro check``);
-- the fused levelised-sweep autograd node of :mod:`repro.model.gnn` is
-  enrolled explicitly (it is the one hand-written kernel outside
-  ``functional``);
+- every primitive op of the registry (:data:`repro.nn.ops.OPS`), every
+  public composite of :mod:`repro.nn.functional` and the K-node
+  alignment losses must have at least one registered :class:`OpCase`
+  (coverage is itself audited, so a new op that forgets to enroll
+  fails ``repro check``);
 - each case is checked for (1) analytic-vs-central-difference gradient
   agreement on **every** differentiable input, (2) NaN/inf-free
   forward values and gradients, and (3) dtype stability — the engine
@@ -16,7 +15,7 @@ Generalises the one-off finite-difference harness in
   gradients is a silent-precision bug;
 - each case is additionally run under :func:`repro.nn.no_grad`
   (:func:`check_no_grad`): the output must carry no parents and no
-  backward closure — anything else is a graph leak on the serving
+  backward function — anything else is a graph leak on the serving
   path — and its values must be bit-identical to the grad-enabled
   forward, which is the contract that licenses inference-only fast
   paths such as the slice-maximum pooling kernel.
@@ -34,13 +33,16 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from ..nn import Tensor, no_grad
+from ..nn import (Tensor, concatenate, gather_rows, no_grad,
+                  scatter_add_rows, stack, where)
 from ..nn import functional as F
+from ..nn.ops import OPS, im2col
 from .rules import Finding
 
-#: Ops audited in addition to the ``repro.nn.functional`` surface.
+#: Composite ops audited in addition to the registry and the
+#: ``repro.nn.functional`` surface: the K-node alignment losses.
 REQUIRED_EXTRA_OPS: Tuple[str, ...] = (
-    "levelized_sweep", "node_contrastive_loss_multi", "cmd_loss_multi")
+    "node_contrastive_loss_multi", "cmd_loss_multi")
 
 Builder = Callable[[], Tuple[Callable[..., Tensor], Dict[str, np.ndarray]]]
 
@@ -161,7 +163,7 @@ def check_no_grad(op_case: OpCase) -> List[str]:
     """Audit one case's inference contract under :func:`no_grad`.
 
     With gradients disabled the op must build no graph — no parent
-    references, no backward closure, ``requires_grad`` off — or every
+    references, no backward function, ``requires_grad`` off — or every
     serving-path forward would pin its intermediates (a memory leak
     ``backward()`` never releases).  The values must also match the
     grad-enabled forward bit for bit: that equality is what licenses
@@ -204,11 +206,15 @@ def check_compiled(op_case: OpCase) -> List[str]:
     """Audit one case's trace/compile/replay contract.
 
     The compiled execution engine (:mod:`repro.nn.compile`) promises
-    **bit-for-bit** equivalence with eager execution in float64: every
-    case is traced, compiled, and replayed twice — once on the traced
-    values and once after mutating every input in place (the way the
-    optimizer mutates parameters between steps) — and both the forward
-    values and every input gradient must equal the eager run exactly.
+    **bit-for-bit** equivalence with eager execution in float64.  Both
+    run the same registry functions, so what this audits is what the
+    compiled step adds: its backward schedule, its gradient
+    accumulation, its aliasing of view buffers, and the reuse of each
+    op's state across replays.  Every case is traced, compiled, and
+    replayed twice — once on the traced values and once after mutating
+    every input in place (the way the optimizer mutates parameters
+    between steps) — and both the forward values and every input
+    gradient must equal the eager run exactly.
     Cases whose op legitimately poisons the tape (stochastic ops such
     as dropout) are skipped; any other compile failure is a finding.
     """
@@ -286,47 +292,48 @@ def functional_ops() -> List[str]:
     return sorted(ops)
 
 
+def audited_ops() -> Dict[str, str]:
+    """Every op the audit covers -> the path findings name it by."""
+    paths = {name: f"repro.nn.functional.{name}"
+             for name in list(functional_ops()) + list(REQUIRED_EXTRA_OPS)}
+    paths.update({name: f"repro.nn.ops.{name}" for name in OPS})
+    return paths
+
+
 def audit_coverage() -> List[Finding]:
-    """Every discovered op (plus the required extras) needs a case."""
+    """Every registry op and composite needs at least one case."""
     covered = {c.op for c in CASES}
-    findings = []
-    for name in list(functional_ops()) + list(REQUIRED_EXTRA_OPS):
-        if name not in covered:
-            findings.append(Finding(
-                "gradcheck-coverage", f"repro.nn.functional.{name}", 0,
+    return [
+        Finding("gradcheck-coverage", path, 0,
                 f"op '{name}' has no registered gradcheck case; add one "
-                "with @repro.check.gradcheck.case",
-            ))
-    return findings
+                "with @repro.check.gradcheck.case")
+        for name, path in sorted(audited_ops().items())
+        if name not in covered
+    ]
 
 
 def audit_compile_coverage() -> List[Finding]:
-    """Every op must be classified by the compiled execution engine.
+    """Every composite op must be classified by the compiled engine.
 
-    Each public :mod:`repro.nn.functional` op (plus the required
-    extras) has to appear in exactly one of the compile layer's
-    registries: ``PRIMITIVE_OPS`` (it has an ``out=``-capable compiled
-    kernel), ``COMPOSITE_OPS`` (it traces through primitives), or
+    Registry ops compile by construction (the compiled step runs the
+    registry itself).  Each other audited op has to appear in
+    ``COMPOSITE_OPS`` (it traces through primitives) or
     ``UNTRACEABLE_OPS`` (it legitimately poisons a trace).  An op in
-    none of them would silently drop every training step that uses it
-    back to eager execution — this audit makes that a ``repro check``
+    neither would silently drop every training step that uses it back
+    to eager execution — this audit makes that a ``repro check``
     failure instead.
     """
     from ..nn import compile as nc
 
-    classified = (nc.PRIMITIVE_OPS | nc.COMPOSITE_OPS
-                  | nc.UNTRACEABLE_OPS)
-    findings = []
-    for name in list(functional_ops()) + list(REQUIRED_EXTRA_OPS):
-        if name not in classified:
-            findings.append(Finding(
-                "compile-coverage", f"repro.nn.functional.{name}", 0,
+    classified = set(OPS) | nc.COMPOSITE_OPS | nc.UNTRACEABLE_OPS
+    return [
+        Finding("compile-coverage", path, 0,
                 f"op '{name}' is not enrolled with the compiled "
-                "execution engine: register an out= kernel in "
-                "repro.nn.compile.KERNELS, or classify it in "
-                "COMPOSITE_OPS / UNTRACEABLE_OPS",
-            ))
-    return findings
+                "execution engine: register it in repro.nn.ops.OPS, or "
+                "classify it in COMPOSITE_OPS / UNTRACEABLE_OPS")
+        for name, path in sorted(audited_ops().items())
+        if name not in classified
+    ]
 
 
 def run_gradcheck() -> List[Finding]:
@@ -345,6 +352,199 @@ def run_gradcheck() -> List[Finding]:
                 "gradcheck-compiled", f"{op_case.op}:{op_case.label}", 0,
                 problem))
     return findings
+
+
+# ----------------------------------------------------------------------
+# Case registry: the primitive ops of repro.nn.ops
+# ----------------------------------------------------------------------
+def _normal(seed: int, *shapes) -> List[np.ndarray]:
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal(shape) for shape in shapes]
+
+
+def _off_kinks(seed: int, shape, margin: float = 0.2) -> np.ndarray:
+    """Normal values pushed at least ``margin`` away from zero."""
+    (x,) = _normal(seed, shape)
+    return x + np.where(x >= 0, margin, -margin)
+
+
+def _distinct(seed: int, shape) -> np.ndarray:
+    """A shuffled grid: every pairwise gap > 1e-3 (argmax-stable)."""
+    rng = np.random.default_rng(seed)
+    flat = np.arange(int(np.prod(shape)), dtype=np.float64)
+    rng.shuffle(flat)
+    return (flat * 1e-1 - 1.0).reshape(shape)
+
+
+@case("add", "broadcast-row")
+def _add_case():
+    a, b = _normal(40, (3, 4), (4,))
+    return (lambda a, b: a + b), {"a": a, "b": b}
+
+
+@case("mul", "broadcast-column")
+def _mul_case():
+    a, b = _normal(41, (3, 4), (3, 1))
+    return (lambda a, b: a * b), {"a": a, "b": b}
+
+
+@case("neg", "2d")
+def _neg_case():
+    (x,) = _normal(42, (3, 2))
+    return (lambda x: -x), {"x": x}
+
+
+@case("truediv", "broadcast-row")
+def _truediv_case():
+    a, b = _normal(43, (3, 4), (4,))
+    return (lambda a, b: a / b), {"a": a, "b": np.abs(b) + 0.5}
+
+
+@case("pow", "cube")
+def _pow_case():
+    (x,) = _normal(44, (2, 3))
+    return (lambda x: x ** 3.0), {"x": x}
+
+
+@case("pow", "sqrt-positive")
+def _sqrt_case():
+    (x,) = _normal(45, (2, 3))
+    return (lambda x: x.sqrt()), {"x": np.abs(x) + 0.5}
+
+
+@case("matmul", "2d-by-2d")
+def _matmul_case():
+    a, b = _normal(46, (3, 4), (4, 2))
+    return (lambda a, b: a @ b), {"a": a, "b": b}
+
+
+@case("matmul", "matrix-by-vector")
+def _matmul_vector_case():
+    a, b = _normal(47, (3, 4), (4,))
+    return (lambda a, b: a @ b), {"a": a, "b": b}
+
+
+@case("sum", "axis-0")
+def _sum_case():
+    (x,) = _normal(48, (3, 4))
+    return (lambda x: x.sum(axis=0)), {"x": x}
+
+
+@case("sum", "all-axes-keepdims")
+def _sum_all_case():
+    (x,) = _normal(49, (2, 3))
+    return (lambda x: x.sum(keepdims=True)), {"x": x}
+
+
+@case("max", "axis-1-tie-free")
+def _max_case():
+    return (lambda x: x.max(axis=1)), {"x": _distinct(50, (3, 5))}
+
+
+@case("reshape", "2d-to-2d")
+def _reshape_case():
+    (x,) = _normal(51, (3, 4))
+    return (lambda x: x.reshape(2, 6)), {"x": x}
+
+
+@case("transpose", "cyclic-3d")
+def _transpose_case():
+    (x,) = _normal(52, (2, 3, 4))
+    return (lambda x: x.transpose(1, 2, 0)), {"x": x}
+
+
+@case("getitem", "basic-slice-view")
+def _getitem_slice_case():
+    (x,) = _normal(53, (4, 5))
+    return (lambda x: x[1:, ::2]), {"x": x}
+
+
+@case("getitem", "fancy-repeated-rows")
+def _getitem_fancy_case():
+    (x,) = _normal(54, (4, 3))
+    return (lambda x: x[np.array([0, 2, 0, 3])]), {"x": x}
+
+
+@case("relu", "off-kink")
+def _relu_case():
+    return (lambda x: x.relu()), {"x": _off_kinks(55, (3, 4))}
+
+
+@case("tanh", "2d")
+def _tanh_case():
+    (x,) = _normal(56, (3, 4))
+    return (lambda x: x.tanh()), {"x": x}
+
+
+@case("sigmoid", "2d")
+def _sigmoid_case():
+    (x,) = _normal(57, (3, 4))
+    return (lambda x: x.sigmoid()), {"x": x * 3.0}
+
+
+@case("exp", "2d")
+def _exp_case():
+    (x,) = _normal(58, (3, 4))
+    return (lambda x: x.exp()), {"x": x}
+
+
+@case("log", "positive")
+def _log_case():
+    (x,) = _normal(59, (3, 4))
+    return (lambda x: x.log()), {"x": np.abs(x) + 0.5}
+
+
+@case("softplus", "both-branches")
+def _softplus_case():
+    # Entries above 30 take the linear branch.
+    return ((lambda x: x.softplus()),
+            {"x": np.array([-4.0, -0.5, 0.3, 2.0, 31.0, 45.0])})
+
+
+@case("abs", "off-kink")
+def _abs_case():
+    return (lambda x: x.abs()), {"x": _off_kinks(60, (3, 4))}
+
+
+@case("clip", "straddles-bounds")
+def _clip_case():
+    # No entry within 1e-3 of either bound.
+    return ((lambda x: x.clip(-0.5, 0.5)),
+            {"x": np.array([-1.2, -0.3, 0.1, 0.4, 0.9, -0.7])})
+
+
+@case("concatenate", "three-parts-axis-1")
+def _concatenate_case():
+    a, b, c = _normal(61, (2, 3), (2, 1), (2, 2))
+    return ((lambda a, b, c: concatenate([a, b, c], axis=1)),
+            {"a": a, "b": b, "c": c})
+
+
+@case("stack", "two-parts-axis-1")
+def _stack_case():
+    a, b = _normal(62, (3, 2), (3, 2))
+    return (lambda a, b: stack([a, b], axis=1)), {"a": a, "b": b}
+
+
+@case("where", "broadcast-row")
+def _where_case():
+    a, b = _normal(63, (3, 4), (4,))
+    cond = np.random.default_rng(64).random((3, 4)) > 0.5
+    return (lambda a, b: where(cond, a, b)), {"a": a, "b": b}
+
+
+@case("gather_rows", "repeated-rows")
+def _gather_rows_case():
+    (x,) = _normal(65, (4, 3))
+    return ((lambda x: gather_rows(x, np.array([3, 0, 3, 1]))),
+            {"x": x})
+
+
+@case("scatter_add_rows", "colliding-rows")
+def _scatter_add_rows_case():
+    (x,) = _normal(66, (5, 2))
+    return ((lambda x: scatter_add_rows(x, np.array([2, 0, 2, 3, 0]), 4)),
+            {"x": x})
 
 
 # ----------------------------------------------------------------------
@@ -420,7 +620,7 @@ def _conv2d_case():
 def _conv2d_columns_case():
     # The serving path hands conv2d its input's cached im2col columns.
     def fn(x, weight, bias):
-        cols = F._im2col(x.data, weight.shape[2:], 1, 1)
+        cols = im2col(x.data, weight.shape[2:], 1, 1)
         return F.conv2d(x, weight, bias, padding=1, cols=cols)
 
     return fn, _conv_inputs(16)

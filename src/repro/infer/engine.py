@@ -57,7 +57,7 @@ import numpy as np
 from ..flow import DesignData
 from ..model import LayoutCNN, TimingPredictor
 from ..nn import Conv2d, Tensor, no_grad
-from ..nn import functional as F
+from ..nn.ops import im2col
 from ..train.fused import FusedDesignBatch, slice_ranges
 from ..util import RWLock, timed
 from .cache import (BoundedLRU, FeatureCache, FeatureTriple, design_key,
@@ -65,24 +65,18 @@ from .cache import (BoundedLRU, FeatureCache, FeatureTriple, design_key,
 
 __all__ = ["InferenceEngine", "Prediction"]
 
-#: ``(cols, oh, ow)``: a conv layer's im2col columns of a stack of
-#: path images, the ``cols`` argument of ``F.conv2d``.
-ColumnsTriple = Tuple[np.ndarray, int, int]
-
-
-def image_columns(images: np.ndarray, conv: Conv2d) -> ColumnsTriple:
-    """``conv``'s im2col columns of ``images``.
+def image_columns(images: np.ndarray, conv: Conv2d) -> np.ndarray:
+    """``conv``'s im2col columns of ``images`` (the ``cols`` of ``F.conv2d``).
 
     Weight-independent (only the kernel geometry matters), so the
     engine computes them once per design or design set and reuses them
     across any number of model updates.
     """
-    return F._im2col(images, conv.weight.shape[2:], conv.stride,
-                     conv.padding)
+    return im2col(images, conv.weight.shape[2:], conv.stride, conv.padding)
 
 
 def cnn_forward(cnn: LayoutCNN, images: np.ndarray,
-                cols: Optional[ColumnsTriple] = None) -> np.ndarray:
+                cols: Optional[np.ndarray] = None) -> np.ndarray:
     """Path embeddings of ``images`` through ``cnn``, no-grad.
 
     The training forward itself, starting at the first layer's GEMM
@@ -171,7 +165,7 @@ class InferenceEngine:
             return weight_digest(self.model)
 
     def _columns_for(self, design: DesignData,
-                     images: np.ndarray) -> ColumnsTriple:
+                     images: np.ndarray) -> np.ndarray:
         """Cached first-layer columns for one design."""
         key = design_key(design)
         cols = self._image_cols.get(key)

@@ -9,7 +9,7 @@ global average pooling; the paper's 3x512x512 input is scaled down to
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -42,8 +42,7 @@ class LayoutCNN(Module):
         self.project = Linear(2 * channels, out_features, rng)
 
     def forward(self, images: Tensor,
-                cols: Optional[Tuple[np.ndarray, int, int]] = None
-                ) -> Tensor:
+                cols: Optional[np.ndarray] = None) -> Tensor:
         """``(K, C, R, R)`` masked images -> ``(K, out_features)``.
 
         ``cols`` optionally carries ``conv1``'s precomputed im2col

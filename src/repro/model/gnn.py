@@ -11,14 +11,16 @@ heterogeneous), and a node's embedding is
 computed level by level, so each embedding summarises the whole fanin
 cone below it — making the endpoint rows genuine *timing path* features.
 
-The sweep is one fused autograd node (:func:`levelized_sweep`) whose
-forward runs every level in tight numpy (in-place level updates, BLAS
-message matmuls) and whose backward replays the levels in reverse —
-instead of the thousands of small per-level gather/scatter autograd
-nodes the naive composition creates, which dominate wall-clock on
-small levels.  Its oracles are the finite-difference gradcheck
-(:mod:`repro.check.gradcheck`) and a test-only per-level reference
-composition (``tests/nn/test_fused_gradcheck.py``).
+The sweep is one fused autograd node (:func:`levelized_sweep`, the
+``levelized_sweep`` op of :mod:`repro.nn.ops`) whose forward runs every
+level in tight numpy (in-place level updates, BLAS message matmuls) and
+whose backward replays the levels in reverse — instead of the thousands
+of small per-level gather/scatter autograd nodes the naive composition
+creates, which dominate wall-clock on small levels.  Eager and compiled
+execution run that one definition.  Its oracles are the
+finite-difference gradcheck (:mod:`repro.check.gradcheck`) and a
+test-only per-level reference composition
+(``tests/nn/test_fused_gradcheck.py``).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from ..features import PinGraph
 from ..nn import Linear, Module, Tensor, gather_rows
-from ..nn.tensor import _finish
+from ..nn.tensor import apply
 from ..util import timed
 
 
@@ -96,65 +98,13 @@ def levelized_sweep(s: Tensor, w_net: Tensor, w_cell: Tensor,
                     num_nodes: int) -> Tensor:
     """The whole levelised propagation as ONE autograd node.
 
-    Forward mirrors the per-level composition exactly (each node's row
-    of ``h`` is written once, at its own level), but runs in plain numpy
-    with in-place buffers.  Backward replays the levels in reverse
-    topological order, accumulating into per-array gradient buffers —
-    the hand-written adjoint of the forward sweep.
+    The ``levelized_sweep`` registry op (:mod:`repro.nn.ops`): its
+    forward writes each node's row of ``h`` once, at its own level, in
+    plain numpy; its backward replays the levels in reverse topological
+    order — the hand-written adjoint of the forward sweep.
     """
-    s_data = s.data
-    wn, wc = w_net.data, w_cell.data
-    hidden = s_data.shape[1]
-    h = np.zeros((num_nodes, hidden), dtype=s_data.dtype)
-    if level0.size:
-        h[level0] = np.maximum(s_data[level0], 0.0)
-    for step in plan.steps:
-        dst = step["dst"]
-        total = s_data[dst].copy()
-        for kind, w in (("net", wn), ("cell", wc)):
-            src = step[f"{kind}_src"]
-            if src.size == 0:
-                continue
-            msgs = h[src] @ w
-            agg = np.zeros((len(dst), hidden), dtype=s_data.dtype)
-            np.add.at(agg, step[f"{kind}_dst_local"], msgs)
-            total += agg * step[f"{kind}_inv_count"]
-        h[dst] = np.maximum(total, 0.0)
-
-    def backward(grad: np.ndarray, out: Tensor) -> None:
-        grad_h = np.array(grad, copy=True)
-        grad_s = np.zeros_like(s_data) if s.requires_grad else None
-        grad_wn = np.zeros_like(wn) if w_net.requires_grad else None
-        grad_wc = np.zeros_like(wc) if w_cell.requires_grad else None
-        for step in reversed(plan.steps):
-            dst = step["dst"]
-            grad_total = grad_h[dst] * (h[dst] > 0.0)
-            if grad_s is not None:
-                grad_s[dst] += grad_total
-            for kind, w, grad_w in (("net", wn, grad_wn),
-                                    ("cell", wc, grad_wc)):
-                src = step[f"{kind}_src"]
-                if src.size == 0:
-                    continue
-                grad_agg = grad_total * step[f"{kind}_inv_count"]
-                grad_msgs = grad_agg[step[f"{kind}_dst_local"]]
-                if grad_w is not None:
-                    grad_w += h[src].T @ grad_msgs
-                np.add.at(grad_h, src, grad_msgs @ w.T)
-        if level0.size:
-            grad_level0 = grad_h[level0] * (h[level0] > 0.0)
-            if grad_s is not None:
-                grad_s[level0] += grad_level0
-        if grad_s is not None:
-            out._send(s, grad_s)
-        if grad_wn is not None:
-            out._send(w_net, grad_wn)
-        if grad_wc is not None:
-            out._send(w_cell, grad_wc)
-
-    return _finish(h, (s, w_net, w_cell), backward, op="levelized_sweep",
-                   attrs={"plan": plan, "level0": level0,
-                          "num_nodes": num_nodes})
+    return apply("levelized_sweep", (s, w_net, w_cell),
+                 {"plan": plan, "level0": level0, "num_nodes": num_nodes})
 
 
 class TimingGNN(Module):

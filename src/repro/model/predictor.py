@@ -13,7 +13,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..flow import DesignData
-from ..nn import Module, Tensor
+from ..nn import Module, Tensor, no_grad
 from .bayesian import BayesianReadout, build_prior_feature
 from .disentangle import Disentangler
 from .extractor import PathFeatureExtractor
@@ -69,6 +69,7 @@ class TimingPredictor(Module):
         u_n, u_d = self.disentangler(u)
         return u, u_n, u_d
 
+    @no_grad()
     def finalize_node_priors(self, designs: Sequence[DesignData],
                              max_paths_per_design: int = 128,
                              seed: int = 0) -> None:
@@ -82,6 +83,8 @@ class TimingPredictor(Module):
         feature of the node, mean design-dependent feature over both
         nodes) and stores the resulting Gaussian.  Called automatically
         at the end of :class:`~repro.train.trainer.OursTrainer.fit`.
+        Runs under :func:`~repro.nn.no_grad`: it returns arrays, so no
+        autograd graph is ever recorded.
         """
         rng = np.random.default_rng(seed)
         un_by_node: Dict[str, list] = {}
@@ -153,6 +156,7 @@ class TimingPredictor(Module):
             )
         return priors[node]
 
+    @no_grad()
     def predict(self, design: DesignData,
                 endpoint_subset: Optional[np.ndarray] = None,
                 mc_samples: int = 0,
@@ -178,6 +182,10 @@ class TimingPredictor(Module):
             fresh ``default_rng(seed)``).  Inference never touches the
             training noise RNG, so identical calls return identical
             predictions and never mutate model state.
+
+        Runs under :func:`~repro.nn.no_grad` (as does
+        :meth:`predict_with_uncertainty`): predictions are arrays, so
+        recording an autograd graph would be pure overhead.
         """
         u, u_n, u_d = self.path_features(design, endpoint_subset)
         mu, log_var = self._design_prior(design, u_n.data, u_d.data,
@@ -199,6 +207,7 @@ class TimingPredictor(Module):
         return self._prior_from_population(design.node, extra_un=u_n,
                                            extra_ud=u_d)
 
+    @no_grad()
     def predict_with_uncertainty(self, design: DesignData,
                                  endpoint_subset: Optional[np.ndarray] = None,
                                  mc_samples: int = 16,

@@ -35,7 +35,7 @@ _STATE = threading.local()
 
 
 class TapeEntry:
-    """One recorded op: output, inputs, and the attrs kernels need."""
+    """One recorded op: output, inputs, and the attrs its op needs."""
 
     __slots__ = ("op", "out", "parents", "attrs")
 

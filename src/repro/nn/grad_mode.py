@@ -15,10 +15,11 @@ numeric kernels are untouched; only graph recording is skipped).
 
 The flag is **thread-local**: a serving thread running forward-only
 inference never disables gradient recording for a training thread.
-All ops funnel through :meth:`Tensor._make` (directly or via
-``_finish``), so honoring the flag there covers ``tensor.py``,
-``functional.py``, ``layers.py`` and the hand-written fused kernels
-alike — and any future op built on the same plumbing inherits it.
+All ops funnel through :meth:`Tensor._make` (via ``apply`` and
+``_finish``), so honoring the flag there covers every registry op of
+:mod:`repro.nn.ops` — the fused sweep and conv included — and
+everything composed from them in ``functional.py`` and ``layers.py``;
+any future op built on the same plumbing inherits it.
 ``repro check`` audits exactly that invariant (see
 :func:`repro.check.gradcheck.audit_no_grad`).
 """

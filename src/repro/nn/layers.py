@@ -145,8 +145,7 @@ class Conv2d(Module):
             if bias else None
 
     def forward(self, x: Tensor,
-                cols: Optional[Tuple[np.ndarray, int, int]] = None
-                ) -> Tensor:
+                cols: Optional[np.ndarray] = None) -> Tensor:
         return F.conv2d(x, self.weight, self.bias, stride=self.stride,
                         padding=self.padding, cols=cols)
 

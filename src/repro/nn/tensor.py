@@ -9,6 +9,9 @@ The engine is deliberately small but complete enough for the paper's model:
 broadcasting elementwise arithmetic, matrix multiplication, reductions,
 shape manipulation, indexing/gather, concatenation, and the nonlinearities
 used by the timing predictor (ReLU, tanh, sigmoid, exp, log, softplus).
+The numpy forward and backward of every primitive live once, in
+:mod:`repro.nn.ops`; the methods here are one-line :func:`apply` calls,
+and the compiled step (:mod:`repro.nn.compile`) runs the same functions.
 
 Example
 -------
@@ -30,29 +33,9 @@ import numpy as np
 
 from . import _tracing
 from .grad_mode import is_grad_enabled
+from .ops import OPS
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
-
-
-def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    """Reduce ``grad`` so that it has ``shape``.
-
-    Numpy broadcasting implicitly expands operands; the corresponding
-    gradient operation is a sum over the broadcast axes.  This helper undoes
-    broadcasting by summing over the leading added axes and over any axis
-    that was expanded from size 1.
-    """
-    if grad.shape == shape:
-        return grad
-    # Sum over leading axes that were added by broadcasting.
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    # Sum over axes that were expanded from 1.
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
 
 
 def _as_array(value: ArrayLike) -> np.ndarray:
@@ -81,7 +64,7 @@ class Tensor:
         self.data = _as_array(data)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
+        self._backward: Optional[Callable[[np.ndarray, "Tensor"], None]] = None
         self._parents: Tuple["Tensor", ...] = ()
         self.name = name
 
@@ -128,13 +111,14 @@ class Tensor:
     # ------------------------------------------------------------------
     @staticmethod
     def _make(data: np.ndarray, parents: Tuple["Tensor", ...],
-              backward: Callable[[np.ndarray], None]) -> "Tensor":
+              backward: Optional[Callable[[np.ndarray, "Tensor"], None]]
+              ) -> "Tensor":
         """Create a result tensor wired into the autograd graph.
 
         Inside a :func:`repro.nn.no_grad` scope the result is detached:
-        no parents are recorded and no backward closure is kept, so the
+        no parents are recorded and no backward function is kept, so the
         forward graph is never materialised.  Every op funnels through
-        here (directly or via ``_finish``), which is what makes the
+        here (via ``apply`` and ``_finish``), which is what makes the
         no-grad fast path engine-wide rather than per-op.
         """
         requires = is_grad_enabled() and \
@@ -197,20 +181,20 @@ class Tensor:
             if node._backward is None:
                 node._accumulate(node_grad)
                 continue
-            # Leaf accumulation happens inside the backward closures via
-            # the _receive helper captured in each op.
+            # Leaf accumulation happens inside the backward functions,
+            # which route every gradient through _send.
             node._receive_upstream(node_grad, grads)
 
     def _receive_upstream(self, node_grad: np.ndarray,
                           grads: dict[int, np.ndarray]) -> None:
-        """Dispatch an upstream gradient to this node's backward closure."""
+        """Dispatch an upstream gradient to this node's backward function."""
         if self._backward is None:
             self._accumulate(node_grad)
             return
-        # Backward closures push into `grads` via this bound helper.
+        # Backward functions push into `grads` via this node's _send.
         self._pending_grads = grads  # type: ignore[attr-defined]
         try:
-            self._backward(node_grad)
+            self._backward(node_grad, self)
         finally:
             del self._pending_grads  # type: ignore[attr-defined]
 
@@ -229,37 +213,20 @@ class Tensor:
             grads[key] = grad
 
     # ------------------------------------------------------------------
-    # Arithmetic
+    # Arithmetic (every primitive is one registry op: repro.nn.ops)
     # ------------------------------------------------------------------
     def __add__(self, other: ArrayLike) -> "Tensor":
-        other_t = as_tensor(other)
-        out_data = self.data + other_t.data
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            out._send(self, _unbroadcast(grad, self.shape))
-            out._send(other_t, _unbroadcast(grad, other_t.shape))
-
-        return _finish(out_data, (self, other_t), backward, op="add")
+        return apply("add", (self, as_tensor(other)))
 
     __radd__ = __add__
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        other_t = as_tensor(other)
-        out_data = self.data * other_t.data
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            out._send(self, _unbroadcast(grad * other_t.data, self.shape))
-            out._send(other_t, _unbroadcast(grad * self.data, other_t.shape))
-
-        return _finish(out_data, (self, other_t), backward, op="mul")
+        return apply("mul", (self, as_tensor(other)))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Tensor":
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            out._send(self, -grad)
-
-        return _finish(-self.data, (self,), backward, op="neg")
+        return apply("neg", (self,))
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         return self + (-as_tensor(other))
@@ -268,17 +235,7 @@ class Tensor:
         return as_tensor(other) + (-self)
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other_t = as_tensor(other)
-        out_data = self.data / other_t.data
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            out._send(self, _unbroadcast(grad / other_t.data, self.shape))
-            out._send(
-                other_t,
-                _unbroadcast(-grad * self.data / (other_t.data ** 2), other_t.shape),
-            )
-
-        return _finish(out_data, (self, other_t), backward, op="truediv")
+        return apply("truediv", (self, as_tensor(other)))
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return as_tensor(other) / self
@@ -286,51 +243,17 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
-        out_data = self.data ** exponent
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            out._send(self, grad * exponent * self.data ** (exponent - 1))
-
-        return _finish(out_data, (self,), backward, op="pow",
-                       attrs={"exponent": exponent})
+        return apply("pow", (self,), {"exponent": exponent})
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
-        other_t = as_tensor(other)
-        out_data = self.data @ other_t.data
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            if self.requires_grad:
-                if other_t.data.ndim == 1:
-                    g_self = np.outer(grad, other_t.data) if grad.ndim == 1 \
-                        else grad[..., None] * other_t.data
-                else:
-                    g_self = grad @ np.swapaxes(other_t.data, -1, -2)
-                out._send(self, _unbroadcast(np.asarray(g_self), self.shape))
-            if other_t.requires_grad:
-                if self.data.ndim == 1:
-                    g_other = np.outer(self.data, grad) if grad.ndim == 1 \
-                        else self.data[..., None] @ grad[..., None, :]
-                else:
-                    g_other = np.swapaxes(self.data, -1, -2) @ grad
-                out._send(other_t, _unbroadcast(np.asarray(g_other), other_t.shape))
-
-        return _finish(out_data, (self, other_t), backward, op="matmul")
+        return apply("matmul", (self, as_tensor(other)))
 
     # ------------------------------------------------------------------
     # Reductions
     # ------------------------------------------------------------------
     def sum(self, axis: Optional[Union[int, Tuple[int, ...]]] = None,
             keepdims: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            g = grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis=axis)
-            out._send(self, np.broadcast_to(g, self.shape).copy())
-
-        return _finish(out_data, (self,), backward, op="sum",
-                       attrs={"axis": axis, "keepdims": keepdims})
+        return apply("sum", (self,), {"axis": axis, "keepdims": keepdims})
 
     def mean(self, axis: Optional[Union[int, Tuple[int, ...]]] = None,
              keepdims: bool = False) -> "Tensor":
@@ -348,22 +271,7 @@ class Tensor:
         return sq.mean(axis=axis, keepdims=keepdims)
 
     def max(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            g = grad
-            expanded = out_data
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis=axis)
-                expanded = np.expand_dims(out_data, axis=axis)
-            mask = (self.data == expanded).astype(self.data.dtype)
-            # Split gradient among ties to keep the op well defined.
-            denom = mask.sum(axis=axis, keepdims=True) if axis is not None \
-                else mask.sum()
-            out._send(self, mask * g / denom)
-
-        return _finish(out_data, (self,), backward, op="max",
-                       attrs={"axis": axis, "keepdims": keepdims})
+        return apply("max", (self,), {"axis": axis, "keepdims": keepdims})
 
     # ------------------------------------------------------------------
     # Shape manipulation
@@ -371,122 +279,83 @@ class Tensor:
     def reshape(self, *shape: int) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out_data = self.data.reshape(shape)
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            out._send(self, grad.reshape(self.shape))
-
-        return _finish(out_data, (self,), backward, op="reshape",
-                       attrs={"shape": tuple(shape)})
+        return apply("reshape", (self,), {"shape": tuple(shape)})
 
     def transpose(self, *axes: int) -> "Tensor":
-        axes_t: Optional[Tuple[int, ...]] = tuple(axes) if axes else None
-        out_data = self.data.transpose(axes_t)
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            if axes_t is None:
-                out._send(self, grad.transpose())
-            else:
-                inverse = np.argsort(axes_t)
-                out._send(self, grad.transpose(tuple(inverse)))
-
-        return _finish(out_data, (self,), backward, op="transpose",
-                       attrs={"axes": axes_t})
+        return apply("transpose", (self,),
+                     {"axes": tuple(axes) if axes else None})
 
     def __getitem__(self, index) -> "Tensor":
-        out_data = self.data[index]
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            full = np.zeros_like(self.data)
-            np.add.at(full, index, grad)
-            out._send(self, full)
-
-        return _finish(np.asarray(out_data), (self,), backward,
-                       op="getitem", attrs={"index": index})
+        return apply("getitem", (self,), {"index": index})
 
     # ------------------------------------------------------------------
     # Nonlinearities
     # ------------------------------------------------------------------
     def relu(self) -> "Tensor":
-        out_data = np.maximum(self.data, 0.0)
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            out._send(self, grad * (self.data > 0))
-
-        return _finish(out_data, (self,), backward, op="relu")
+        return apply("relu", (self,))
 
     def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            out._send(self, grad * (1.0 - out_data ** 2))
-
-        return _finish(out_data, (self,), backward, op="tanh")
+        return apply("tanh", (self,))
 
     def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0)))
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            out._send(self, grad * out_data * (1.0 - out_data))
-
-        return _finish(out_data, (self,), backward, op="sigmoid")
+        return apply("sigmoid", (self,))
 
     def exp(self) -> "Tensor":
-        out_data = np.exp(np.clip(self.data, -700.0, 700.0))
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            out._send(self, grad * out_data)
-
-        return _finish(out_data, (self,), backward, op="exp")
+        return apply("exp", (self,))
 
     def log(self) -> "Tensor":
-        out_data = np.log(self.data)
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            out._send(self, grad / self.data)
-
-        return _finish(out_data, (self,), backward, op="log")
+        return apply("log", (self,))
 
     def softplus(self) -> "Tensor":
         """Numerically stable ``log(1 + exp(x))``."""
-        x = self.data
-        out_data = np.where(x > 30.0, x, np.log1p(np.exp(np.minimum(x, 30.0))))
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            sig = 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
-            out._send(self, grad * sig)
-
-        return _finish(out_data, (self,), backward, op="softplus")
+        return apply("softplus", (self,))
 
     def abs(self) -> "Tensor":
-        out_data = np.abs(self.data)
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            out._send(self, grad * np.sign(self.data))
-
-        return _finish(out_data, (self,), backward, op="abs")
+        return apply("abs", (self,))
 
     def clip(self, low: float, high: float) -> "Tensor":
-        out_data = np.clip(self.data, low, high)
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            inside = (self.data >= low) & (self.data <= high)
-            out._send(self, grad * inside)
-
-        return _finish(out_data, (self,), backward, op="clip",
-                       attrs={"low": low, "high": high})
+        return apply("clip", (self,), {"low": low, "high": high})
 
     def sqrt(self) -> "Tensor":
         return self ** 0.5
 
 
-def _finish(data: np.ndarray, parents: Tuple[Tensor, ...],
-            backward: Callable[[np.ndarray, Tensor], None],
-            op: Optional[str] = None, attrs: Optional[dict] = None) -> Tensor:
-    """Build a graph node whose backward closure receives (grad, out).
+def apply(op: str, parents: Sequence[Tensor], attrs: Optional[dict] = None,
+          state: Optional[dict] = None) -> Tensor:
+    """Run the registry op ``op`` eagerly on ``parents``.
 
-    Under :func:`no_grad` the result requires no gradient, so the
-    wiring closure is never constructed and ``backward`` is dropped.
+    The forward of :data:`repro.nn.ops.OPS` ``[op]`` computes the result
+    into a fresh array; the node's backward runs the op's backward with
+    the same ``attrs`` and ``state`` (a fresh dict unless the caller
+    seeds it, as serving does with cached conv columns).
+    """
+    spec = OPS[op]
+    parents = tuple(parents)
+    attrs = {} if attrs is None else attrs
+    state = {} if state is None else state
+    ins = [p.data for p in parents]
+    data = spec.forward(ins, attrs, None, state)
+
+    def backward(grad: np.ndarray, out: Tensor) -> None:
+        grads = spec.backward(grad, ins, out.data, attrs,
+                              [p.requires_grad for p in parents], state)
+        for parent, parent_grad in zip(parents, grads):
+            if parent_grad is not None:
+                out._send(parent, parent_grad)
+
+    return _finish(data, parents, backward, op=op, attrs=attrs)
+
+
+def _finish(data: np.ndarray, parents: Tuple[Tensor, ...],
+            backward: Optional[Callable[[np.ndarray, Tensor], None]],
+            op: Optional[str] = None, attrs: Optional[dict] = None) -> Tensor:
+    """Build a graph node whose ``backward(grad, out)`` routes gradients.
+
+    The node stores ``backward`` itself, never a closure over the node,
+    so an eager graph holds no reference cycle: a discarded graph and
+    its arrays are freed as soon as the last reference goes, without
+    waiting for the cyclic garbage collector.  Under :func:`no_grad`
+    the result requires no gradient and ``backward`` is dropped.
 
     ``op``/``attrs`` name the operation for the trace/compile layer
     (:mod:`repro.nn.compile`): while a trace is active every op is
@@ -495,16 +364,10 @@ def _finish(data: np.ndarray, parents: Tuple[Tensor, ...],
     An op without a name poisons compilation (the tape records it and
     the compiler refuses), never silently miscomputes.
     """
-    out = Tensor._make(np.asarray(data), parents, _NO_BACKWARD)
-    if out.requires_grad:
-        out._backward = lambda grad: backward(grad, out)
+    out = Tensor._make(np.asarray(data), parents, backward)
     if _tracing.ACTIVE:
         _tracing.emit(op, out, parents, attrs)
     return out
-
-
-def _NO_BACKWARD(grad: np.ndarray) -> None:  # placeholder, never called
-    raise AssertionError("placeholder backward invoked")
 
 
 def as_tensor(value: ArrayLike) -> Tensor:
@@ -515,60 +378,25 @@ def as_tensor(value: ArrayLike) -> Tensor:
 def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Differentiable concatenation along ``axis``."""
     tensors = [as_tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad: np.ndarray, out: Tensor) -> None:
-        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            index = [slice(None)] * grad.ndim
-            index[axis] = slice(int(start), int(stop))
-            out._send(tensor, grad[tuple(index)])
-
-    return _finish(out_data, tuple(tensors), backward, op="concatenate",
-                   attrs={"axis": axis, "sizes": tuple(sizes)})
+    return apply("concatenate", tensors,
+                 {"axis": axis, "sizes": tuple(t.shape[axis] for t in tensors)})
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Differentiable stack along a new axis."""
-    tensors = [as_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad: np.ndarray, out: Tensor) -> None:
-        pieces = np.split(grad, len(tensors), axis=axis)
-        for tensor, piece in zip(tensors, pieces):
-            out._send(tensor, np.squeeze(piece, axis=axis))
-
-    return _finish(out_data, tuple(tensors), backward, op="stack",
-                   attrs={"axis": axis})
+    return apply("stack", [as_tensor(t) for t in tensors], {"axis": axis})
 
 
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Differentiable elementwise select (condition is not differentiated)."""
-    a_t, b_t = as_tensor(a), as_tensor(b)
-    cond = np.asarray(condition, dtype=bool)
-    out_data = np.where(cond, a_t.data, b_t.data)
-
-    def backward(grad: np.ndarray, out: Tensor) -> None:
-        out._send(a_t, _unbroadcast(grad * cond, a_t.shape))
-        out._send(b_t, _unbroadcast(grad * (~cond), b_t.shape))
-
-    return _finish(out_data, (a_t, b_t), backward, op="where",
-                   attrs={"cond": cond})
+    return apply("where", (as_tensor(a), as_tensor(b)),
+                 {"cond": np.asarray(condition, dtype=bool)})
 
 
 def gather_rows(source: Tensor, index: np.ndarray) -> Tensor:
     """Select rows ``source[index]`` differentiably (index is integer array)."""
-    idx = np.asarray(index, dtype=np.int64)
-    out_data = source.data[idx]
-
-    def backward(grad: np.ndarray, out: Tensor) -> None:
-        full = np.zeros_like(source.data)
-        np.add.at(full, idx, grad)
-        out._send(source, full)
-
-    return _finish(out_data, (source,), backward, op="gather_rows",
-                   attrs={"index": idx})
+    return apply("gather_rows", (source,),
+                 {"index": np.asarray(index, dtype=np.int64)})
 
 
 def scatter_add_rows(values: Tensor, index: np.ndarray, num_rows: int) -> Tensor:
@@ -577,16 +405,9 @@ def scatter_add_rows(values: Tensor, index: np.ndarray, num_rows: int) -> Tensor
     The inverse of :func:`gather_rows`: ``out[i] = sum_j values[j]`` over all
     ``j`` with ``index[j] == i``.  Used for message aggregation in the GNN.
     """
-    idx = np.asarray(index, dtype=np.int64)
-    out_shape = (num_rows,) + values.shape[1:]
-    out_data = np.zeros(out_shape, dtype=values.data.dtype)
-    np.add.at(out_data, idx, values.data)
-
-    def backward(grad: np.ndarray, out: Tensor) -> None:
-        out._send(values, grad[idx])
-
-    return _finish(out_data, (values,), backward, op="scatter_add_rows",
-                   attrs={"index": idx, "num_rows": num_rows})
+    return apply("scatter_add_rows", (values,),
+                 {"index": np.asarray(index, dtype=np.int64),
+                  "num_rows": num_rows})
 
 
 def no_grad_copy(tensor: Tensor) -> np.ndarray:

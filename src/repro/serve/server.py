@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+import traceback
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -143,10 +144,13 @@ class ModelContainer:
                         "error_type": "CheckpointError",
                         "generation": self.generation,
                         "digest": self.digest}
+            # Publish the generation last: a reader that sees the new
+            # generation must also see the new digest.
+            digest = weight_digest(model)
             self.engine.swap_model(model)
             self._mtime = mtime
+            self.digest = digest
             self.generation += 1
-            self.digest = weight_digest(model)
             self.reloads += 1
             self.last_reload_error = None
             return {"reloaded": True, "generation": self.generation,
@@ -232,6 +236,8 @@ class PredictionService:
             uncertainty = bool(payload.get("uncertainty", False))
         except (TypeError, ValueError):
             return 400, {"error": "mc_samples/seed must be integers"}
+        if seed < 0:
+            return 400, {"error": "seed must be non-negative"}
         if uncertainty and mc_samples <= 0:
             mc_samples = 16
         try:
@@ -263,6 +269,11 @@ class PredictionService:
                          "error_type": "CheckpointError"}
         except TimeoutError:
             return 504, {"error": "prediction timed out"}
+        # repro-check: disable=bare-except -- any other engine failure is answered with a 500 and counted in /stats, never a dropped connection
+        except Exception as exc:  # noqa: BLE001 - reported to the client
+            traceback.print_exc()
+            return 500, {"error": str(exc),
+                         "error_type": type(exc).__name__}
         body = {
             "design": prediction.name,
             "node": prediction.node,

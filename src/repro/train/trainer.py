@@ -68,8 +68,8 @@ class TrainConfig:
     #: is still written when a stop is requested mid-run).
     checkpoint_every: int = 0
     #: Graph-compile the training step: trace the op graph once, then
-    #: replay it as a flat schedule of preallocated numpy kernels (see
-    #: :mod:`repro.nn.compile`).  Bit-for-bit identical to eager
+    #: replay it as a flat schedule of the same registry ops over
+    #: preallocated buffers (see :mod:`repro.nn.compile`).  Bit-for-bit identical to eager
     #: execution in float64, so eager and compiled runs (and their
     #: checkpoints) are interchangeable.  Shape changes retrace
     #: automatically; compile errors fall back to eager.
@@ -629,12 +629,12 @@ class OursTrainer:
         and one stacked CNN forward; per-design blocks are recovered as
         contiguous row ranges.
 
-        With ``config.compile`` (the default) the step's op
-        graph is traced once per (warmup, batch-shape, dtype) signature
-        and thereafter replayed as a flat schedule of preallocated
-        numpy kernels — bit-for-bit identical results in float64, so
-        eager and compiled runs are interchangeable mid-run via
-        checkpoints.  Any compile failure falls back to eager.
+        With ``config.compile`` (the default) the step's op graph is
+        traced once per (warmup, batch-shape, dtype) signature and
+        thereafter replayed as a flat schedule of the same ops over
+        preallocated buffers — bit-for-bit identical results in
+        float64, so eager and compiled runs are interchangeable mid-run
+        via checkpoints.  Any compile failure falls back to eager.
         """
         start = time.perf_counter()
         cfg = self.config

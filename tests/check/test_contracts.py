@@ -63,6 +63,13 @@ class TestCentralChecks:
         assert len(msgs) == 1
         assert "aliases input(s) [0]" in msgs[0]
 
+    def test_view_ops_are_the_registry_alias_ops(self):
+        from repro.check.contracts import VIEW_OPS
+
+        assert VIEW_OPS == {"reshape", "transpose", "getitem"}
+        assert VIEW_OPS == {name for name, op in KERNELS.items()
+                            if op.alias}
+
     def test_aliasing_on_view_op_is_expected(self):
         assert _messages([_rec("reshape", (6,), [(2, 3)],
                                aliases=[True])]) == []
@@ -100,7 +107,7 @@ class TestShapeContracts:
         assert audit_contract_coverage() == []
         assert set(KERNELS) <= set(CONTRACTS)
 
-    def test_coverage_audit_fires_on_uncovered_kernel(self, monkeypatch):
+    def test_coverage_audit_fires_on_uncovered_op(self, monkeypatch):
         monkeypatch.setitem(KERNELS, "fake_op", lambda: None)
         findings = audit_contract_coverage()
         assert len(findings) == 1

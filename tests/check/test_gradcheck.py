@@ -32,6 +32,13 @@ class TestDiscovery:
     def test_fused_sweep_is_enrolled(self):
         assert any(c.op == "levelized_sweep" for c in CASES)
 
+    def test_registry_op_without_case_fails_audit(self, monkeypatch):
+        from repro.nn.ops import OPS, Op
+
+        monkeypatch.setitem(OPS, "frobnicate", Op(None, None))
+        paths = [f.path for f in audit_coverage()]
+        assert paths == ["repro.nn.ops.frobnicate"]
+
     def test_new_op_without_case_fails_audit(self, monkeypatch):
         def frobnicate(x):
             return x

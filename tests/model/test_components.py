@@ -218,6 +218,30 @@ class TestFullModels:
         mc = model.predict(design_data, mc_samples=800)
         np.testing.assert_allclose(mc, det, atol=0.2)
 
+    @pytest.mark.parametrize("entry", ["predict", "uncertainty", "priors"])
+    def test_inference_records_no_graph(self, design_data, monkeypatch,
+                                        entry):
+        """Inference returns arrays, so no op may record a graph node."""
+        model = TimingPredictor(design_data.graph.features.shape[1], seed=0)
+        model.finalize_node_priors([design_data])
+        made = []
+        make = Tensor._make
+
+        def spy(data, parents, backward):
+            out = make(data, parents, backward)
+            made.append(out.requires_grad)
+            return out
+
+        monkeypatch.setattr(Tensor, "_make", staticmethod(spy))
+        if entry == "predict":
+            model.predict(design_data)
+        elif entry == "uncertainty":
+            model.predict_with_uncertainty(design_data, mc_samples=4)
+        else:
+            model.finalize_node_priors([design_data])
+        assert made, "spy saw no ops"
+        assert sum(made) == 0, f"{sum(made)} of {len(made)} ops recorded"
+
     def test_dac23_heads(self, design_data):
         model = DAC23Model(design_data.graph.features.shape[1],
                            n_heads=2, seed=0)

@@ -84,7 +84,7 @@ class TestConv2d:
         out2 = F.conv2d(x, w, stride=2, padding=0)
         assert out2.shape == (2, 4, 3, 3)
 
-    def test_identity_kernel(self, rng):
+    def test_identity_filter(self, rng):
         """A 1x1 kernel of ones on one channel copies the input channel."""
         x = rng.standard_normal((1, 1, 5, 5))
         w = Tensor(np.ones((1, 1, 1, 1)))

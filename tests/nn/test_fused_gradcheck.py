@@ -15,6 +15,7 @@ from repro.check.gradcheck import OpCase, check_case, make_sweep_fixture
 from repro.model.gnn import _plan_for, levelized_sweep
 from repro.nn import Tensor, gather_rows, no_grad, scatter_add_rows
 from repro.nn import functional as F
+from repro.nn.ops import im2col
 
 
 def assert_case_clean(op, label, build, atol=1e-5):
@@ -68,7 +69,7 @@ class TestFusedConv2d:
         w = rng.standard_normal((3, 2, 3, 3))
         b = rng.standard_normal(3)
         results = []
-        for cols in (None, F._im2col(x, (3, 3), stride, padding)):
+        for cols in (None, im2col(x, (3, 3), stride, padding)):
             tx, tw, tb = (Tensor(a.copy(), requires_grad=True)
                           for a in (x, w, b))
             out = F.conv2d(tx, tw, tb, stride=stride, padding=padding,

@@ -1,10 +1,13 @@
 """Unit tests for the autograd engine: forward values and gradients."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.nn import Tensor, concatenate, gather_rows, scatter_add_rows, stack, where
-from repro.nn.tensor import _unbroadcast
+from repro.nn.ops import _unbroadcast
 
 
 def numeric_grad(fn, x, eps=1e-6):
@@ -243,3 +246,23 @@ class TestGradients:
         t = Tensor(x.copy(), requires_grad=True)
         t.clip(-1.0, 1.0).sum().backward()
         np.testing.assert_allclose(t.grad, [0.0, 1.0, 1.0, 0.0])
+
+
+class TestGraphLifetime:
+    def test_discarded_graph_is_freed_without_cyclic_gc(self):
+        """Graph nodes hold no reference cycle: dropping the output frees
+        every intermediate by reference counting alone."""
+        x = Tensor(np.ones((4, 4)), requires_grad=True)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            mid = (x * 2.0).exp()
+            ref = weakref.ref(mid.data)
+            out = mid.sum()
+            del mid
+            assert ref() is not None   # still held by out's graph
+            del out
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()

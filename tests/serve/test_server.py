@@ -124,6 +124,37 @@ class TestErrors:
             client._request("POST", "/predict", {"mc_samples": 3})
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("window", [2.0, 0.0])
+    def test_negative_seed_400_is_counted(self, designs, model, window):
+        config = ServerConfig(port=0, batch_window_ms=window)
+        with PredictionServer(designs, model, config=config) as srv:
+            with ServingClient(srv.host, srv.port) as c:
+                with pytest.raises(ServingError) as excinfo:
+                    c.predict(designs[0].name, seed=-1)
+                c.predict(designs[0].name)   # the connection survives
+                stats = c.stats()
+        assert excinfo.value.status == 400
+        assert "seed" in str(excinfo.value)
+        assert (stats["requests"], stats["errors"]) == (2, 1)
+
+    @pytest.mark.parametrize("window", [2.0, 0.0])
+    def test_engine_failure_is_a_counted_500(self, designs, model,
+                                             monkeypatch, window):
+        def boom(*args, **kwargs):
+            raise RuntimeError("engine exploded")
+
+        config = ServerConfig(port=0, batch_window_ms=window)
+        with PredictionServer(designs, model, config=config) as srv:
+            for attr in ("predict", "predict_many"):
+                monkeypatch.setattr(srv.container.engine, attr, boom)
+            with ServingClient(srv.host, srv.port) as c:
+                with pytest.raises(ServingError) as excinfo:
+                    c.predict(designs[0].name)
+                stats = c.stats()
+        assert excinfo.value.status == 500
+        assert "engine exploded" in str(excinfo.value)
+        assert (stats["requests"], stats["errors"]) == (1, 1)
+
     def test_reload_without_model_path_400(self, client):
         with pytest.raises(ServingError) as excinfo:
             client.reload()
@@ -175,6 +206,25 @@ class TestHotReload:
         np.testing.assert_allclose(np.asarray(body["mean"]),
                                    reference[designs[0].name],
                                    atol=ATOL)
+
+    def test_generation_is_published_after_its_digest(
+            self, designs, model, other_model, model_file, monkeypatch):
+        """A reader seeing the new generation must see the new digest:
+        the digest is computed before the generation is bumped."""
+        from repro.serve import server as server_mod
+
+        with self._serve(designs, model, model_file) as srv:
+            generations = []
+
+            def digest(m):
+                generations.append(srv.container.generation)
+                return weight_digest(m)
+
+            monkeypatch.setattr(server_mod, "weight_digest", digest)
+            save_predictor(other_model, model_file)
+            status = srv.container.reload()
+        assert status["generation"] == 2
+        assert generations == [1]
 
     def test_mtime_poll_triggers_reload(self, designs, model,
                                         other_model, model_file):
