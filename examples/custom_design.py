@@ -3,8 +3,7 @@
 Shows the substrate as a user-extensible toolkit: assemble a custom
 design from functional blocks, push it through both technology nodes,
 compare the mapped netlists, verify functional equivalence by
-simulation, and profile how far the classical pre-route Elmore estimate
-is from signoff.
+simulation, and run the full flow on it at 7nm.
 
 Run:
     python examples/custom_design.py
@@ -12,7 +11,6 @@ Run:
 
 import numpy as np
 
-from repro.analysis import design_summary, elmore_baseline_profile
 from repro.features import GateVocabulary
 from repro.flow import PnRFlow
 from repro.netlist import LogicGraph, blocks, equivalent_behaviour, map_design
@@ -45,9 +43,9 @@ def main() -> None:
     sky, asap = make_sky130_library(), make_asap7_library()
     nl_sky = map_design(graph, sky)
     nl_asap = map_design(graph, asap)
-    print(design_summary(nl_sky).format())
-    print()
-    print(design_summary(nl_asap).format())
+    for netlist in (nl_sky, nl_asap):
+        print(f"{netlist.library.name}: {len(netlist.cells)} cells, "
+              f"{netlist.total_cell_area():.2f} um^2")
 
     # Prove the two mappings implement the same function.
     rng = np.random.default_rng(0)
@@ -58,16 +56,14 @@ def main() -> None:
     print(f"\nfunctional equivalence across nodes: "
           f"{'PASS' if ok else 'FAIL'}")
 
-    # Run the full flow at 7nm and profile the classical estimate.
+    # Run the full flow at 7nm: the design is now a training sample.
     libraries = {"130nm": sky, "7nm": asap}
     flow = PnRFlow(libraries, vocab=GateVocabulary([sky, asap]))
     from repro.netlist.designs import DESIGN_GENERATORS
 
     DESIGN_GENERATORS["mac_filter"] = lambda scale=1.0: make_mac_filter()
     data = flow.run("mac_filter", "7nm")
-    profile = elmore_baseline_profile(data)
-    print(f"\nElmore pre-route baseline on this design:")
-    print("  " + profile.format())
+    print(f"\n7nm flow: {data.stats()}")
 
 
 if __name__ == "__main__":

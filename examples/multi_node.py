@@ -3,13 +3,12 @@
 The paper transfers 130nm -> 7nm. The library's scaling module can
 synthesise intermediate nodes, so the same flow runs a three-node
 study: map one design at 130nm, 45nm (interpolated) and 7nm, and watch
-area, delay, and power scale across generations.
+area and delay scale across generations.
 
 Run:
     python examples/multi_node.py
 """
 
-from repro.analysis import estimate_power
 from repro.netlist import make_design, map_design
 from repro.place import place_design
 from repro.route import PreRouteEstimator
@@ -30,19 +29,16 @@ def main(design_name: str = "linkruncca") -> None:
     graph = make_design(design_name)
     print(f"{design_name} across technology nodes:\n")
     print(f"{'node':>14} | {'cells':>6} | {'area um^2':>10} | "
-          f"{'worst AT ns':>11} | {'power':>8}")
-    print("-" * 62)
+          f"{'worst AT ns':>11}")
+    print("-" * 51)
     for lib in nodes:
         netlist = map_design(graph, lib)
         place_design(netlist, seed=1)
         est = PreRouteEstimator(netlist)
         report = run_sta(netlist, est)
-        power = estimate_power(netlist, est,
-                               clock_period=report.clock.period)
         worst = max(report.endpoint_arrivals.values())
         print(f"{lib.name:>14} | {len(netlist.cells):>6} | "
-              f"{netlist.total_cell_area():>10.2f} | {worst:>11.4f} | "
-              f"{power.total:>8.3g}")
+              f"{netlist.total_cell_area():>10.2f} | {worst:>11.4f}")
     print("\nEach generation shrinks area and delay coherently — the "
           "scaling\nmodule derives fully usable libraries, so transfer "
           "chains like\n130nm -> 45nm -> 7nm are one library swap away.")

@@ -4,8 +4,6 @@ Subcommands::
 
     python -m repro.cli flow DESIGN NODE       # run the PnR flow, report
     python -m repro.cli sta DESIGN NODE        # worst-path timing report
-    python -m repro.cli export DESIGN NODE DIR # write .v/.def/.spef/.lib
-    python -m repro.cli report DESIGN NODE     # design/timing/power report
     python -m repro.cli libs                   # library summaries
     python -m repro.cli train [--steps N]      # train ours, report test R^2
     python -m repro.cli ladder [--nodes ...]   # K-node transfer study
@@ -104,55 +102,6 @@ def cmd_sta(args) -> int:
           f"clock {report.clock.period:.4f} ns\n")
     print(report_worst_paths(netlist, parasitics, n=args.paths,
                              report=report))
-    return 0
-
-
-def cmd_export(args) -> int:
-    from .io import write_def, write_liberty, write_spef, write_verilog
-    from .netlist import make_design, map_design
-    from .place import place_design
-    from .route import GlobalRouter
-
-    library = _libraries()[args.node]
-    netlist = map_design(make_design(args.design), library)
-    floorplan = place_design(netlist, seed=args.seed)
-    router = GlobalRouter(netlist, floorplan, seed=args.seed)
-    router.run()
-
-    out = Path(args.directory)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / f"{args.design}.v").write_text(write_verilog(netlist))
-    (out / f"{args.design}.def").write_text(write_def(netlist, floorplan))
-    (out / f"{args.design}.spef").write_text(write_spef(netlist, router))
-    (out / f"{library.name}.lib").write_text(write_liberty(library))
-    print(f"wrote {args.design}.v/.def/.spef and {library.name}.lib "
-          f"to {out}")
-    return 0
-
-
-def cmd_report(args) -> int:
-    from .analysis import estimate_power, full_report
-    from .netlist import make_design, map_design
-    from .place import place_design
-    from .route import GlobalRouter, PreRouteEstimator, RoutedParasitics
-    from .sta import MonteCarloSTA, format_statistical_report, run_sta
-
-    library = _libraries()[args.node]
-    netlist = map_design(make_design(args.design), library)
-    floorplan = place_design(netlist, seed=args.seed)
-    router = GlobalRouter(netlist, floorplan, seed=args.seed)
-    router.run()
-    parasitics = RoutedParasitics(router)
-    report = run_sta(netlist, parasitics)
-    print(full_report(netlist, floorplan, report, router))
-    print()
-    print(estimate_power(netlist, parasitics,
-                         clock_period=report.clock.period).format())
-    if args.mc_samples:
-        print()
-        stat = MonteCarloSTA(netlist, parasitics,
-                             seed=args.seed).run_samples(args.mc_samples)
-        print(format_statistical_report(stat, report.clock.period))
     return 0
 
 
@@ -507,20 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("export", help="write .v/.def/.spef/.lib files")
-    p.add_argument("design")
-    p.add_argument("node", choices=["130nm", "7nm"])
-    p.add_argument("directory")
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("report",
-                       help="full design/timing/power report")
-    p.add_argument("design")
-    p.add_argument("node", choices=["130nm", "7nm"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mc-samples", type=int, default=0,
-                   help="also run statistical STA with N samples")
-
     p = sub.add_parser("train", help="train the paper's model")
     p.add_argument("--steps", type=int, default=150)
     p.add_argument("--seed", type=int, default=0)
@@ -684,11 +619,9 @@ def build_parser() -> argparse.ArgumentParser:
 COMMANDS = {
     "check": cmd_check,
     "libs": cmd_libs,
-    "report": cmd_report,
     "report-run": cmd_report_run,
     "flow": cmd_flow,
     "sta": cmd_sta,
-    "export": cmd_export,
     "train": cmd_train,
     "ladder": cmd_ladder,
     "predict": cmd_predict,

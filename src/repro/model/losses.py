@@ -12,12 +12,11 @@
 The ``*_multi`` variants take a *list* of per-node feature sets instead
 of the paper's hard-coded (source, target) pair: the contrastive loss
 uses K-way anchor sets (each node's rows are positives for each other,
-every other node's rows are negatives), and the CMD either matches each
-source node against the target (``"vs-target"``) or every node pair
-(``"pairwise"``).  With exactly two groups both are **bit-for-bit**
-identical to the pair forms — the op sequence is the same — which is
-what lets the K-node trainer degrade exactly to the paper's two-node
-pipeline (DESIGN.md §15).
+every other node's rows are negatives), and the CMD matches each source
+node against the target.  With exactly two groups both are
+**bit-for-bit** identical to the pair forms — the op sequence is the
+same — which is what lets the K-node trainer degrade exactly to the
+paper's two-node pipeline (DESIGN.md §15).
 """
 
 from __future__ import annotations
@@ -30,9 +29,6 @@ from ..nn import Tensor, concatenate
 from ..nn import functional as F
 
 _EPS = 1e-8
-
-#: Accepted ``mode`` values of :func:`cmd_loss_multi`.
-CMD_MODES = ("vs-target", "pairwise")
 
 
 def _l2_normalize(u: Tensor) -> Tensor:
@@ -165,48 +161,30 @@ def cmd_loss(u_source: Tensor, u_target: Tensor, max_order: int = 5,
 
 
 def cmd_loss_multi(groups: Sequence[Tensor], max_order: int = 5,
-                   bound: float = 1.0, mode: str = "vs-target",
-                   target_index: int = -1) -> Tensor:
-    """CMD over K per-node feature sets.
+                   bound: float = 1.0) -> Tensor:
+    """CMD between each source node's feature set and the target's.
 
     Parameters
     ----------
     groups:
-        One ``(K_i, d)`` design-dependent feature set per node.
+        One ``(K_i, d)`` design-dependent feature set per node, sources
+        first and the target last (the trainer's node order).
     max_order / bound:
         As in :func:`cmd_loss`.
-    mode:
-        ``"vs-target"`` sums :func:`cmd_loss` between each source group
-        and the target group (K-source -> 1-target transfer, the
-        default); ``"pairwise"`` sums it over every unordered pair of
-        groups (symmetric alignment of the whole chain).
-    target_index:
-        Which group is the target in ``"vs-target"`` mode (default: the
-        last, matching the trainer's source-then-target ordering).
 
     Returns
     -------
     Tensor
-        Scalar: the sum of the pair CMDs.  A single pair is returned
-        as-is — no extra arithmetic — so with two groups this is
-        bit-for-bit :func:`cmd_loss`.
+        Scalar: the sum over sources of ``cmd_loss(source, target)``.
+        A single pair is returned as-is — no extra arithmetic — so with
+        two groups this is bit-for-bit :func:`cmd_loss`.
     """
     groups = list(groups)
     if len(groups) < 2:
         raise ValueError("need feature sets from at least two nodes")
-    if mode == "vs-target":
-        target = groups[target_index]
-        pairs = [(g, target) for i, g in enumerate(groups)
-                 if i != target_index % len(groups)]
-    elif mode == "pairwise":
-        pairs = [(groups[i], groups[j])
-                 for i in range(len(groups))
-                 for j in range(i + 1, len(groups))]
-    else:
-        raise ValueError(
-            f"mode must be one of {CMD_MODES}, got {mode!r}")
+    *sources, target = groups
     total = None
-    for a, b in pairs:
-        term = cmd_loss(a, b, max_order=max_order, bound=bound)
+    for source in sources:
+        term = cmd_loss(source, target, max_order=max_order, bound=bound)
         total = term if total is None else total + term
     return total

@@ -198,6 +198,9 @@ def _matmul_grad(g, ins, out, attrs, need, state):
     if need[0]:
         if b.ndim == 1:
             g_a = np.outer(g, b) if g.ndim == 1 else g[..., None] * b
+        elif a.ndim == 1 and b.ndim > 2:
+            # vector @ batched: g is (..., m), one row vector per batch.
+            g_a = (g[..., None, :] @ np.swapaxes(b, -1, -2))[..., 0, :]
         else:
             g_a = g @ np.swapaxes(b, -1, -2)
         g_a = _unbroadcast(np.asarray(g_a), a.shape)
@@ -205,6 +208,9 @@ def _matmul_grad(g, ins, out, attrs, need, state):
         if a.ndim == 1:
             g_b = np.outer(a, g) if g.ndim == 1 \
                 else a[..., None] @ g[..., None, :]
+        elif b.ndim == 1 and a.ndim > 2:
+            # batched @ vector: g is (..., n), one column per batch.
+            g_b = (np.swapaxes(a, -1, -2) @ g[..., None])[..., 0]
         else:
             g_b = np.swapaxes(a, -1, -2) @ g
         g_b = _unbroadcast(np.asarray(g_b), b.shape)

@@ -1,7 +1,6 @@
 """Routing substrate: pre-route estimation, global routing, RUDY maps."""
 
 from .estimator import ParasiticsProvider, PreRouteEstimator, hpwl, manhattan
-from .maze import MazeRouter, RoutingGrid, dijkstra_route, maze_route_design
 from .router import (
     CongestionGrid,
     GlobalRouter,
@@ -13,10 +12,6 @@ from .rudy import rudy_map
 __all__ = [
     "CongestionGrid",
     "GlobalRouter",
-    "MazeRouter",
-    "RoutingGrid",
-    "dijkstra_route",
-    "maze_route_design",
     "ParasiticsProvider",
     "PreRouteEstimator",
     "RoutedParasitics",

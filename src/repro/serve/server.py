@@ -10,7 +10,10 @@ HTTP — no new dependencies:
     requests landing within the coalescing window are fused into one
     ``predict_many`` union-graph sweep (see
     :mod:`repro.serve.coalescer`); the response reports how many
-    requests shared the sweep.
+    requests shared the sweep.  A body longer than
+    :data:`MAX_BODY_BYTES` is refused with 413, and a malformed
+    ``Content-Length`` or a truncated body with 400; both close the
+    connection.
 
 ``GET /healthz`` / ``GET /stats``
     Liveness (model digest, generation) and serving telemetry: cache
@@ -61,6 +64,10 @@ from .coalescer import CoalescerClosed, RequestCoalescer
 
 __all__ = ["ModelContainer", "PredictionServer", "PredictionService",
            "ServerConfig"]
+
+#: Largest request body the server reads.  A ``/predict`` body is about
+#: 100 bytes; a longer declared ``Content-Length`` is refused unread.
+MAX_BODY_BYTES = 1 << 16
 
 
 class ServerConfig:
@@ -346,13 +353,43 @@ class _Handler(BaseHTTPRequestHandler):
     # Set per server class via make_server_class().
     service: PredictionService
 
-    def _respond(self, status: int, body: Dict[str, object]) -> None:
+    def _respond(self, status: int, body: Dict[str, object],
+                 close: bool = False) -> None:
         data = json.dumps(body).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if close:
+            # Also sets close_connection: the handler stops reading.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
+
+    def _read_body(self) -> Optional[bytes]:
+        """The request body; None once a refusal has been answered.
+
+        A body that cannot be read in full is answered and the
+        connection closed: its bytes were not drained, so on a
+        keep-alive connection they would be parsed as the next request.
+        """
+        header = self.headers.get("Content-Length", "0")
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            status, error = 400, f"bad Content-Length header {header!r}"
+        elif length > MAX_BODY_BYTES:
+            status, error = 413, (f"request body of {length} bytes exceeds "
+                                  f"the {MAX_BODY_BYTES}-byte limit")
+        else:
+            raw = self.rfile.read(length)
+            if len(raw) == length:
+                return raw
+            status, error = 400, (f"request body truncated: got "
+                                  f"{len(raw)} of {length} bytes")
+        self._respond(status, {"error": error}, close=True)
+        return None
 
     def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
         if self.path == "/healthz":
@@ -366,11 +403,8 @@ class _Handler(BaseHTTPRequestHandler):
         # Always drain the body, whatever the route: on a keep-alive
         # connection unread body bytes would be parsed as the next
         # request line.
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-            raw = self.rfile.read(length) if length > 0 else b""
-        except ValueError:
-            self._respond(400, {"error": "bad Content-Length header"})
+        raw = self._read_body()
+        if raw is None:
             return
         if self.path == "/predict":
             try:

@@ -2,26 +2,11 @@
 
 from .constraints import ClockConstraint, derive_constraints, estimate_depth
 from .engine import STAEngine, TimingReport, run_sta
-from .hold import HoldAnalyzer, HoldReport, run_hold_sta
 from .paths import PathStage, PathTracer, TimingPath, report_worst_paths
 from .rc import RCNode, RCTree
-from .variation import (
-    DeratedParasitics,
-    MonteCarloSTA,
-    StatisticalReport,
-    format_statistical_report,
-    run_ocv_sta,
-)
 
 __all__ = [
     "ClockConstraint",
-    "DeratedParasitics",
-    "MonteCarloSTA",
-    "StatisticalReport",
-    "format_statistical_report",
-    "run_ocv_sta",
-    "HoldAnalyzer",
-    "HoldReport",
     "PathStage",
     "PathTracer",
     "RCNode",
@@ -32,6 +17,5 @@ __all__ = [
     "derive_constraints",
     "estimate_depth",
     "report_worst_paths",
-    "run_hold_sta",
     "run_sta",
 ]

@@ -5,7 +5,7 @@ survive the crash: the model tensors (all of them, frozen ones
 included), the optimiser's internal buffers (Adam moments + step
 count), every RNG that training consumes (the batch-sampling generator
 and the Bayesian readout's MC-noise generator), the selection state
-(best held-out checkpoint / SWA accumulators), and the step index.
+(best held-out checkpoint), and the step index.
 :func:`save_checkpoint` packs exactly that into one ``checkpoint.npz``
 — numpy arrays plus a JSON ``meta`` entry, no pickled objects — and
 writes it atomically (temp file + ``os.replace``, see
@@ -15,11 +15,10 @@ checkpointing leaves the previous checkpoint intact.
 The archive layout::
 
     meta                 JSON: version, step, TrainConfig, RNG states,
-                         optimizer scalars, history, SWA count, ...
+                         optimizer scalars, history, ...
     param::<name>        every tensor of the model tree
     opt::<buffer>::<i>   per-parameter optimiser buffers (m/v/velocity)
     keeper::<name>       best-validation snapshot (when selection is on)
-    swa::<i>             SWA running sums (when SWA is on)
     holdout::<design>    held-out endpoint indices (resume fingerprint)
 
 ``repro train --resume RUNDIR`` and
@@ -47,6 +46,20 @@ __all__ = ["CHECKPOINT_NAME", "CHECKPOINT_VERSION", "CheckpointError",
 CHECKPOINT_NAME = "checkpoint.npz"
 
 CHECKPOINT_VERSION = 1
+
+#: Retired ``TrainConfig`` keys, each mapped to the one value today's
+#: trainer still runs.  Checkpoints written before a key was retired
+#: carry it: holding that value, it is dropped and the run resumes
+#: bit-for-bit; any other value selected a code path that no longer
+#: exists, so the checkpoint cannot be continued.
+RETIRED_CONFIG_KEYS: Dict[str, Any] = {
+    # fused step vs the deleted per-design looped step
+    "fused": True,
+    # start fraction of stochastic weight averaging; 1.0 never averaged
+    "swa_fraction": 1.0,
+    # K-node CMD coupling; the deleted "pairwise" coupled every node pair
+    "cmd_mode": "vs-target",
+}
 
 
 # ----------------------------------------------------------------------
@@ -82,8 +95,6 @@ class TrainingCheckpoint:
     rng_states: Dict[str, Any]
     keeper: Optional[Dict[str, Any]] = None
     holdout: Optional[Dict[str, np.ndarray]] = None
-    swa_sum: Optional[List[np.ndarray]] = None
-    swa_count: int = 0
     history: List[Dict[str, Any]] = field(default_factory=list)
     #: Informational metadata (the trainer records its node chain and
     #: target node).  Never binding: resume validates the config, not
@@ -130,8 +141,6 @@ def save_checkpoint(path: Union[str, Path], *, step: int,
                     trainer_rng: np.random.Generator,
                     noise_rng: np.random.Generator,
                     keeper: Any = None, selector: Any = None,
-                    swa_sum: Optional[Sequence[np.ndarray]] = None,
-                    swa_count: int = 0,
                     history: Sequence[Mapping[str, Any]] = (),
                     extra: Optional[Mapping[str, Any]] = None) -> Path:
     """Atomically persist a mid-run training snapshot to ``path``.
@@ -164,10 +173,6 @@ def save_checkpoint(path: Union[str, Path], *, step: int,
             holdout_names.append(name)
             arrays[f"holdout::{name}"] = pool
 
-    if swa_sum is not None:
-        for i, acc in enumerate(swa_sum):
-            arrays[f"swa::{i}"] = acc
-
     for name, tensor in named_tensors(model):
         arrays[f"param::{name}"] = tensor.data
 
@@ -180,8 +185,6 @@ def save_checkpoint(path: Union[str, Path], *, step: int,
                        "noise": capture_rng(noise_rng)},
         "keeper": keeper_meta,
         "holdout_designs": holdout_names,
-        "swa_count": int(swa_count),
-        "swa_len": 0 if swa_sum is None else len(swa_sum),
         "history": [dict(record) for record in history],
         "extra": {} if extra is None else dict(extra),
     }
@@ -220,14 +223,13 @@ def load_checkpoint(path: Union[str, Path]) -> TrainingCheckpoint:
         )
 
     config = dict(meta["config"])
-    # ``fused`` selected between the fused step and a per-design looped
-    # one that no longer exists.  ``fused: true`` is today's only step,
-    # so the retired key is dropped; a looped run cannot be continued.
-    if config.pop("fused", True) is not True:
-        raise CheckpointError(
-            f"checkpoint {path} was written by the retired per-design "
-            "looped trainer (config fused=false); it cannot be resumed "
-            "bit-for-bit by the fused step")
+    for key, kept in RETIRED_CONFIG_KEYS.items():
+        value = config.pop(key, kept)
+        if value != kept:
+            raise CheckpointError(
+                f"checkpoint {path} was written with the retired config "
+                f"key {key}={value!r}; only {key}={kept!r} can be "
+                "resumed, the code path it selected no longer exists")
 
     params = {key[len("param::"):]: value
               for key, value in staged.items()
@@ -258,16 +260,6 @@ def load_checkpoint(path: Union[str, Path]) -> TrainingCheckpoint:
                     f"checkpoint {path} missing key {entry!r}")
             holdout[name] = staged[entry]
 
-    swa_sum: Optional[List[np.ndarray]] = None
-    if meta.get("swa_len"):
-        swa_sum = []
-        for i in range(int(meta["swa_len"])):
-            entry = f"swa::{i}"
-            if entry not in staged:
-                raise CheckpointError(
-                    f"checkpoint {path} missing key {entry!r}")
-            swa_sum.append(staged[entry])
-
     return TrainingCheckpoint(
         step=int(meta["step"]),
         config=config,
@@ -276,8 +268,6 @@ def load_checkpoint(path: Union[str, Path]) -> TrainingCheckpoint:
         rng_states=dict(meta["rng_states"]),
         keeper=keeper,
         holdout=holdout,
-        swa_sum=swa_sum,
-        swa_count=int(meta.get("swa_count", 0)),
         history=list(meta.get("history", [])),
         extra=dict(meta.get("extra") or {}),
     )

@@ -54,12 +54,6 @@ class TrainConfig:
     grad_clip: float = 5.0
     warmup_fraction: float = 0.3
     lr_decay: float = 0.1
-    #: Fraction of the run at which stochastic weight averaging starts;
-    #: ``1.0`` (the default) disables SWA.  SWA and held-out checkpoint
-    #: selection both decide the final weights, so enabling SWA requires
-    #: ``holdout_fraction`` outside (0, 1) — the trainer rejects the
-    #: ambiguous combination (see :meth:`OursTrainer.fit`).
-    swa_fraction: float = 1.0
     holdout_fraction: float = 0.25
     eval_every: int = 15
     seed: int = 0
@@ -88,17 +82,8 @@ class TrainConfig:
     nodes: Optional[List[str]] = None
     #: The transfer target's node label; all other nodes are sources.
     target_node: str = "7nm"
-    #: How the CMD couples K > 2 nodes: ``"vs-target"`` (each source
-    #: vs the target; the paper's pair for K=2) or ``"pairwise"``
-    #: (every node pair).  Identical for K=2 either way.
-    cmd_mode: str = "vs-target"
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.swa_fraction <= 1.0:
-            raise ValueError(
-                f"swa_fraction must be in (0, 1] (1.0 disables SWA), "
-                f"got {self.swa_fraction}"
-            )
         if self.checkpoint_every < 0:
             raise ValueError(
                 f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
@@ -111,11 +96,6 @@ class TrainConfig:
             raise ValueError(
                 "dtype='float32' runs only in the compiled step; "
                 "set compile=True (or use float64)"
-            )
-        if self.cmd_mode not in ("vs-target", "pairwise"):
-            raise ValueError(
-                f"cmd_mode must be 'vs-target' or 'pairwise', "
-                f"got {self.cmd_mode!r}"
             )
         if self.nodes is not None:
             self.nodes = list(self.nodes)
@@ -209,8 +189,8 @@ class OursTrainer:
         self.rng = np.random.default_rng(self.config.seed)
         self.optimizer = Adam(model.parameters(), lr=self.config.lr)
         self.history: List[Dict[str, float]] = []
-        #: Which weights ``fit`` left in the model: ``"final-iterate"``,
-        #: ``"best-checkpoint"`` or ``"swa"`` (set at the end of fit).
+        #: Which weights ``fit`` left in the model: ``"final-iterate"``
+        #: or ``"best-checkpoint"`` (set at the end of fit).
         self.final_weights_source: Optional[str] = None
         # Validation-based checkpoint selection on held-out 7nm paths.
         self.selector: Optional[HoldoutSelector] = None
@@ -218,17 +198,6 @@ class OursTrainer:
             self.selector = HoldoutSelector(
                 designs, fraction=self.config.holdout_fraction,
                 seed=self.config.seed, target_node=self.target_node,
-            )
-        if self.selector is not None and self.config.swa_fraction < 1.0:
-            # Both mechanisms overwrite the final weights; restoring a
-            # checkpoint over the SWA average (the historical behaviour)
-            # silently discarded the average.  Make the choice explicit.
-            raise ValueError(
-                "swa_fraction < 1.0 and checkpoint selection are mutually "
-                "exclusive: SWA averages the tail iterates while the "
-                "selector restores the best validation checkpoint. "
-                "Set holdout_fraction=0.0 to train with SWA, or keep "
-                "swa_fraction=1.0 to use checkpoint selection."
             )
         # Per-node observation variance for the ELBO likelihood: the
         # variance of the node's training labels.  This conditions the
@@ -260,15 +229,13 @@ class OursTrainer:
         self.profile_ops = False
         # Crash-resume lifecycle state.  ``keeper`` lives on the
         # instance (not as a fit() local) so a checkpoint can capture
-        # and restore the best-validation snapshot; the SWA accumulators
-        # move here for the same reason.  ``_start_step`` is the absolute
-        # step fit() resumes from (0 = fresh run / next sequential fit),
-        # and ``interrupted`` reports whether the last fit() ended on a
-        # requested stop instead of running to completion.
+        # and restore the best-validation snapshot.  ``_start_step`` is
+        # the absolute step fit() resumes from (0 = fresh run / next
+        # sequential fit), and ``interrupted`` reports whether the last
+        # fit() ended on a requested stop instead of running to
+        # completion.
         self.keeper: Optional[CheckpointKeeper] = \
             CheckpointKeeper(self.model) if self.selector else None
-        self._swa_sum: Optional[List[np.ndarray]] = None
-        self._swa_count = 0
         self._start_step = 0
         self._stop_requested = False
         self.interrupted = False
@@ -316,8 +283,6 @@ class OursTrainer:
             noise_rng=self.model.readout._noise_rng,
             keeper=self.keeper,
             selector=self.selector,
-            swa_sum=self._swa_sum,
-            swa_count=self._swa_count,
             history=self.history,
             extra={"nodes": list(self.node_order),
                    "target_node": self.target_node},
@@ -406,9 +371,6 @@ class OursTrainer:
                     ckpt.rng_states["noise"])
         if self.keeper is not None and ckpt.keeper is not None:
             self.keeper.load_state_dict(ckpt.keeper)
-        self._swa_sum = None if ckpt.swa_sum is None \
-            else [acc.copy() for acc in ckpt.swa_sum]
-        self._swa_count = ckpt.swa_count
         self.history = [dict(record) for record in ckpt.history]
         self._start_step = ckpt.step
         self.interrupted = False
@@ -529,8 +491,7 @@ class OursTrainer:
             # Slice u_d only now so the backward accumulation order into
             # u_d matches the two-node tape bit-for-bit.
             ud_groups = [u_d[lo:hi] for lo, hi in node_bounds]
-            cmd = cmd_loss_multi(ud_groups, max_order=cfg.cmd_order,
-                                 mode=cfg.cmd_mode)
+            cmd = cmd_loss_multi(ud_groups, max_order=cfg.cmd_order)
         total = elbo_total + gamma1 * clr + gamma2 * cmd
         return total, elbo_total, clr, cmd
 
@@ -666,9 +627,6 @@ class OursTrainer:
         ``final_weights_source`` and logged as a ``final_weights``
         telemetry event:
 
-        - ``"swa"`` — tail-averaged iterates, when ``swa_fraction < 1``
-          (checkpoint selection is rejected at construction in that
-          case, so the average can never be silently overwritten);
         - ``"best-checkpoint"`` — the best held-out validation
           snapshot, when selection is enabled and a snapshot was kept;
         - ``"final-iterate"`` — otherwise.
@@ -689,17 +647,13 @@ class OursTrainer:
         """
         steps = steps or self.config.steps
         warmup_steps = int(self.config.warmup_fraction * steps)
-        swa_start = int(self.config.swa_fraction * steps)
         base_lr = self.config.lr
-        params = self.model.parameters()
         start_step = self._start_step
         if start_step == 0:
             # Fresh run (or the next sequential fit of a multi-stage
-            # recipe): SWA accumulators and best-checkpoint tracking
-            # belong to one loop only.  A resumed fit keeps the state
-            # load_checkpoint restored.
-            self._swa_sum = None
-            self._swa_count = 0
+            # recipe): best-checkpoint tracking belongs to one loop
+            # only.  A resumed fit keeps the state load_checkpoint
+            # restored.
             if self.keeper is not None:
                 self.keeper = CheckpointKeeper(self.model)
         elif start_step >= steps:
@@ -719,16 +673,6 @@ class OursTrainer:
             record = self.step(warmup=t < warmup_steps)
             self.history.append(record)
             self.logger.log_step(step_offset + (t - start_step), record)
-            if t >= swa_start:
-                # Stochastic weight averaging over the tail of training:
-                # the averaged iterate is far less sensitive to the noise
-                # of the last few minibatches than the final iterate.
-                if self._swa_sum is None:
-                    self._swa_sum = [p.data.copy() for p in params]
-                else:
-                    for acc, p in zip(self._swa_sum, params):
-                        acc += p.data
-                self._swa_count += 1
             last = t == steps - 1
             if keeper is not None and t >= warmup_steps \
                     and (t % self.config.eval_every == 0 or last):
@@ -755,12 +699,7 @@ class OursTrainer:
         if self.interrupted:
             return self.history
         self._start_step = 0
-        if self._swa_count > 1:
-            for acc, p in zip(self._swa_sum, params):
-                # repro-check: disable=tensor-data-mutation -- SWA writes averaged leaf weights between steps
-                p.data[...] = acc / self._swa_count
-            self.final_weights_source = "swa"
-        elif keeper is not None and keeper.best_state is not None:
+        if keeper is not None and keeper.best_state is not None:
             keeper.restore()
             self.final_weights_source = "best-checkpoint"
         else:

@@ -107,6 +107,19 @@ class TestHarness:
                       lambda: (swallow, {"x": np.ones(3)}))
         assert any("no gradient reached" in p for p in check_case(case))
 
+    def test_raising_backward_is_reported(self):
+        def explode(x):
+            def backward(grad, out):
+                raise ValueError("backward exploded")
+
+            return _finish(x.data * 2.0, (x,), backward)
+
+        case = OpCase("explode", "unit",
+                      lambda: (explode, {"x": np.ones(3)}))
+        (problem,) = check_case(case)
+        assert problem.startswith("raised ValueError in backward (")
+        assert problem.endswith("): backward exploded")
+
     def test_non_tensor_return_is_caught(self):
         case = OpCase("raw", "unit",
                       lambda: (lambda x: x.data, {"x": np.ones(3)}))

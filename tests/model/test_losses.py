@@ -187,28 +187,12 @@ class TestCMDMulti:
         )
         assert multi == pytest.approx(by_hand, rel=1e-9)
 
-    def test_pairwise_mode_differs_and_is_larger_family(self):
-        rng = np.random.default_rng(4)
-        groups = [Tensor(np.tanh(rng.standard_normal((20, 3)) + s))
-                  for s in (0.0, 0.8, -0.8)]
-        vs_target = cmd_loss_multi(groups, mode="vs-target").item()
-        pairwise = cmd_loss_multi(groups, mode="pairwise").item()
-        assert vs_target != pairwise
-        # Pairwise covers a superset of pairs, so it cannot be smaller.
-        assert pairwise >= vs_target
-
-    def test_gradients_flow_in_both_modes(self):
-        for mode in ("vs-target", "pairwise"):
-            rng = np.random.default_rng(5)
-            groups = [Tensor(np.tanh(rng.standard_normal((15, 3)) + s),
-                             requires_grad=True)
-                      for s in (0.0, 0.5, 1.0)]
-            cmd_loss_multi(groups, mode=mode).backward()
-            for g in groups:
-                assert g.grad is not None, mode
-                assert np.abs(g.grad).sum() > 0, mode
-
-    def test_invalid_mode_rejected(self):
-        a = Tensor(np.zeros((4, 2)))
-        with pytest.raises(ValueError):
-            cmd_loss_multi((a, a), mode="nonsense")
+    def test_gradients_flow_to_every_group(self):
+        rng = np.random.default_rng(5)
+        groups = [Tensor(np.tanh(rng.standard_normal((15, 3)) + s),
+                         requires_grad=True)
+                  for s in (0.0, 0.5, 1.0)]
+        cmd_loss_multi(groups).backward()
+        for g in groups:
+            assert g.grad is not None
+            assert np.abs(g.grad).sum() > 0

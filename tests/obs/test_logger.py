@@ -123,6 +123,6 @@ class TestNullRunLogger:
             assert logger.log_manifest(config=TrainConfig()) == {}
             logger.log_step(0, {"lr": 1.0, "step_seconds": 0.0})
             logger.log_validation(0, 0.5, False)
-            logger.log_event("final_weights", source="swa")
+            logger.log_event("final_weights", source="best-checkpoint")
             assert logger.log_summary() == {}
         assert list(tmp_path.iterdir()) == []  # wrote nothing

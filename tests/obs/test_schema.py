@@ -17,7 +17,7 @@ class TestRecordSchema:
             {"kind": "step", "step": 0, "lr": 1e-3, "step_seconds": 0.1,
              "total": 3.5, "elbo": 3.0, "warmup": True},
             {"kind": "validation", "step": 5, "score": 0.9, "best": True},
-            {"kind": "final_weights", "source": "swa"},
+            {"kind": "final_weights", "source": "best-checkpoint"},
             {"kind": "note", "message": "hello"},
         ]
         for record in valid:

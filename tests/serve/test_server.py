@@ -5,7 +5,9 @@ concurrently with a model swap returns the old model's answer or the
 new model's answer — never a mixture, never garbage — and a corrupt
 checkpoint never takes down the old model."""
 
+import http.client
 import json
+import socket
 import threading
 
 import numpy as np
@@ -18,7 +20,7 @@ from repro.serve import (
     ServingClient,
     ServingError,
 )
-from repro.serve.server import warm_up
+from repro.serve.server import MAX_BODY_BYTES, warm_up
 
 ATOL = 1e-10
 
@@ -160,6 +162,44 @@ class TestErrors:
             client.reload()
         assert excinfo.value.status == 400
         assert "without --model" in str(excinfo.value)
+
+
+class TestRequestBody:
+    """``Content-Length`` is checked before the body is read; a body that
+    cannot be read in full is answered and its connection closed."""
+
+    @staticmethod
+    def _raw_predict(server, length, body=b""):
+        """POST /predict over a raw socket, then shut the write side."""
+        with socket.create_connection((server.host, server.port),
+                                      timeout=10.0) as sock:
+            sock.sendall(f"POST /predict HTTP/1.1\r\nHost: test\r\n"
+                         f"Content-Length: {length}\r\n\r\n"
+                         .encode("ascii") + body)
+            sock.shutdown(socket.SHUT_WR)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            payload = json.loads(response.read())
+            closed = sock.recv(1) == b""
+        return response, payload, closed
+
+    @pytest.mark.parametrize("length, body, status, error", [
+        (100_000_000_000, b"", 413, f"{MAX_BODY_BYTES}-byte limit"),
+        (-1, b"", 400, "Content-Length"),
+        ("12abc", b"", 400, "Content-Length"),
+        (1000, b'{"design": "usbf_device"}', 400, "truncated"),
+    ], ids=["oversized", "negative", "non-integer", "truncated"])
+    def test_unreadable_body_is_refused(self, server, length, body,
+                                        status, error):
+        response, payload, closed = self._raw_predict(server, length,
+                                                      body)
+        assert response.status == status
+        assert error in payload["error"]
+        assert response.getheader("Connection") == "close"
+        assert closed
+        with ServingClient(server.host, server.port) as c:
+            assert c.healthz()["status"] == "ok"
+            assert c.predict("usbf_device")["design"] == "usbf_device"
 
 
 class TestHotReload:

@@ -67,24 +67,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "WNS" in out and "Startpoint:" in out
 
-    def test_export(self, tmp_path, capsys):
-        assert main(["export", "usbf_device", "7nm",
-                     str(tmp_path)]) == 0
-        assert (tmp_path / "usbf_device.v").exists()
-        assert (tmp_path / "usbf_device.def").exists()
-        assert (tmp_path / "usbf_device.spef").exists()
-        assert (tmp_path / "asap7_synth.lib").exists()
-
-    def test_exported_files_parse_back(self, tmp_path):
-        main(["export", "usbf_device", "7nm", str(tmp_path)])
-        from repro.io import parse_liberty, parse_verilog
-
-        lib = parse_liberty((tmp_path / "asap7_synth.lib").read_text())
-        netlist = parse_verilog(
-            (tmp_path / "usbf_device.v").read_text(), lib
-        )
-        netlist.validate()
-
 
 class TestReportRunCommand:
     @staticmethod
@@ -125,16 +107,3 @@ class TestReportRunCommand:
         assert main(["report-run", str(tmp_path / "absent")]) == 1
         assert "not a run directory" in capsys.readouterr().out
 
-
-class TestReportCommand:
-    def test_report(self, capsys):
-        assert main(["report", "usbf_device", "7nm"]) == 0
-        out = capsys.readouterr().out
-        assert "gate mix" in out
-        assert "total power" in out
-
-    def test_report_with_mc(self, capsys):
-        assert main(["report", "usbf_device", "7nm",
-                     "--mc-samples", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "statistical STA" in out

@@ -20,7 +20,8 @@ from repro.train import (
     TrainConfig,
     load_checkpoint,
 )
-from repro.train.checkpoint import capture_rng, restore_rng
+from repro.train.checkpoint import (RETIRED_CONFIG_KEYS, capture_rng,
+                                    restore_rng)
 
 FAST = TrainConfig(steps=8, lr=3e-3, batch_endpoints=24, seed=0,
                    gamma1=1.0, gamma2=30.0, eval_every=3)
@@ -163,12 +164,13 @@ def _set_config_key(path, key, value):
     _rewrite_archive(path, mutate)
 
 
-class TestRetiredFusedKey:
-    """Checkpoints written while ``TrainConfig`` still had ``fused``
-    (fused step vs per-design looped step) carry that key."""
+class TestRetiredConfigKeys:
+    """Checkpoints written before a ``TrainConfig`` key was retired
+    (``fused``, ``swa_fraction``, ``cmd_mode``) carry that key."""
 
-    def test_fused_true_is_dropped_and_resumes_bit_exact(
-            self, tiny_designs, in_features, tmp_path):
+    @pytest.mark.parametrize("key", sorted(RETIRED_CONFIG_KEYS))
+    def test_kept_value_is_dropped_and_resumes_bit_exact(
+            self, key, tiny_designs, in_features, tmp_path):
         baseline = make_trainer(tiny_designs, in_features)
         baseline.fit()
 
@@ -177,10 +179,10 @@ class TestRetiredFusedKey:
                               checkpoint_path=path)
         interfere_after(victim, 4, lambda tr: tr.request_stop())
         victim.fit()
-        _set_config_key(path, "fused", True)
+        _set_config_key(path, key, RETIRED_CONFIG_KEYS[key])
 
         ckpt = load_checkpoint(path)
-        assert "fused" not in ckpt.config
+        assert key not in ckpt.config
         # `repro train --resume` rebuilds the config from the checkpoint.
         config = TrainConfig(**ckpt.config)
         resumed = make_trainer(tiny_designs, in_features, config=config,
@@ -192,15 +194,18 @@ class TestRetiredFusedKey:
         assert history_key(resumed.history) == \
             history_key(baseline.history)
 
-    def test_fused_false_is_refused(self, tiny_designs, in_features,
-                                    tmp_path):
+    @pytest.mark.parametrize("key, value", [("fused", False),
+                                            ("swa_fraction", 0.5),
+                                            ("cmd_mode", "pairwise")])
+    def test_other_value_is_refused(self, key, value, tiny_designs,
+                                    in_features, tmp_path):
         trainer = make_trainer(tiny_designs, in_features)
         path = tmp_path / CHECKPOINT_NAME
         trainer.save_checkpoint(step=0, path=path)
-        _set_config_key(path, "fused", False)
-        with pytest.raises(CheckpointError, match="looped"):
+        _set_config_key(path, key, value)
+        with pytest.raises(CheckpointError, match=f"{key}="):
             load_checkpoint(path)
-        with pytest.raises(CheckpointError, match="looped"):
+        with pytest.raises(CheckpointError, match=f"{key}="):
             make_trainer(tiny_designs, in_features).load_checkpoint(path)
 
 
@@ -320,31 +325,6 @@ class TestResumeDeterminism:
         assert weight_digest(resumed.model) == want_digest
         assert history_key(resumed.history) == want_history
         assert resumed.final_weights_source == baseline.final_weights_source
-
-    def test_resume_with_swa_matches(self, tiny_designs, in_features,
-                                     tmp_path):
-        """SWA accumulators are part of the checkpoint: interrupting
-        inside the averaging window must not change the averaged
-        weights."""
-        config = replace(FAST, holdout_fraction=0.0, swa_fraction=0.5)
-        baseline = make_trainer(tiny_designs, in_features, config=config)
-        baseline.fit()
-        assert baseline.final_weights_source == "swa"
-        want = weight_digest(baseline.model)
-
-        path = tmp_path / CHECKPOINT_NAME
-        victim = make_trainer(tiny_designs, in_features, config=config,
-                              checkpoint_path=path)
-        interfere_after(victim, 6, lambda tr: tr.request_stop())
-        victim.fit()  # stops inside the SWA tail (steps 4..7)
-        assert victim.interrupted
-
-        resumed = make_trainer(tiny_designs, in_features, config=config,
-                               checkpoint_path=path)
-        resumed.load_checkpoint(path)
-        resumed.fit()
-        assert weight_digest(resumed.model) == want
-        assert resumed.final_weights_source == "swa"
 
     def test_hard_kill_resumes_from_periodic_checkpoint(
             self, tiny_designs, in_features, tmp_path):

@@ -109,13 +109,6 @@ class TestKNodeTrainer:
             for key in ("total", "elbo", "contrastive", "cmd"):
                 assert np.isfinite(record[key]), key
 
-    def test_pairwise_cmd_mode_trains(self, ladder3_designs):
-        _, history, _ = _train(
-            ladder3_designs, steps=2,
-            nodes=["130nm", "45nm", "7nm"], target_node="7nm",
-            cmd_mode="pairwise")
-        assert all(np.isfinite(r["cmd"]) for r in history)
-
     def test_checkpoint_extra_records_chain(self, ladder3_designs,
                                             tmp_path):
         from repro.train import load_checkpoint
@@ -141,8 +134,6 @@ class TestKNodeTrainer:
             TrainConfig(nodes=["130nm", "7nm"], target_node="45nm")
         with pytest.raises(ValueError):
             TrainConfig(nodes=["7nm", "7nm"], target_node="7nm")
-        with pytest.raises(ValueError):
-            TrainConfig(cmd_mode="nonsense")
 
 
 class TestLadderEvalSmoke:

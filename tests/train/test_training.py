@@ -122,35 +122,7 @@ class TestOursTrainer:
 
 
 class TestFinalWeights:
-    """Regressions for the SWA / checkpoint-selection interaction.
-
-    Historically ``swa_fraction`` defaulted to 1.0 (SWA never ran) and,
-    when lowered, ``keeper.restore()`` ran *after* the SWA write-back and
-    silently discarded the average.  The two mechanisms are now mutually
-    exclusive and the chosen path is recorded.
-    """
-
-    def test_post_init_rejects_bad_swa_fraction(self):
-        for bad in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                TrainConfig(swa_fraction=bad)
-
-    def test_swa_and_selection_mutually_exclusive(self, tiny_designs,
-                                                  in_features):
-        config = TrainConfig(**{**FAST.__dict__, "swa_fraction": 0.5})
-        assert 0.0 < config.holdout_fraction < 1.0  # selection active
-        model = TimingPredictor(in_features, seed=0)
-        with pytest.raises(ValueError, match="mutually"):
-            OursTrainer(model, tiny_designs, config)
-
-    def test_swa_runs_and_is_kept(self, tiny_designs, in_features):
-        config = TrainConfig(**{**FAST.__dict__, "swa_fraction": 0.5,
-                                "holdout_fraction": 0.0})
-        model = TimingPredictor(in_features, seed=0)
-        trainer = OursTrainer(model, tiny_designs, config)
-        trainer.fit()
-        assert trainer.final_weights_source == "swa"
-        assert np.isfinite(model.predict(tiny_designs[0])).all()
+    """The final weights come from exactly one recorded source."""
 
     def test_selection_path_reported(self, tiny_designs, in_features):
         model = TimingPredictor(in_features, seed=0)
@@ -159,8 +131,8 @@ class TestFinalWeights:
         assert trainer.final_weights_source in ("best-checkpoint",
                                                 "final-iterate")
 
-    def test_no_swa_no_selection_keeps_final_iterate(self, tiny_designs,
-                                                     in_features):
+    def test_no_selection_keeps_final_iterate(self, tiny_designs,
+                                              in_features):
         config = TrainConfig(**{**FAST.__dict__, "holdout_fraction": 0.0})
         model = TimingPredictor(in_features, seed=0)
         trainer = OursTrainer(model, tiny_designs, config)
