@@ -1,17 +1,23 @@
 """Inference-engine micro-benchmarks (the serving path).
 
 Measures the three claims of the fast inference architecture
-(DESIGN.md §9) against the seed ``TimingPredictor.predict`` path:
+(DESIGN.md §9) against ``TimingPredictor.predict``, the per-design
+forward of the training path (no-grad, like the engine):
 
-- **feature cache** — warm (cache-hit) single-design prediction vs the
-  cold first call (>= 3x);
-- **no-grad forward** — a full uncached engine prediction vs the
-  graph-recording autograd ``predict()`` (same work, no bookkeeping);
+- **feature cache** — a warm (cache-hit) single-design
+  ``predict_many`` vs the cold first call (>= 3x);
+- **forward** — one uncached engine ``predict_many([design])`` vs
+  ``TimingPredictor.predict`` on the same design: the same no-grad
+  forward, except that the engine reuses its cached batch structure
+  and first-layer im2col columns (>= 1.0x).  The JSON's
+  ``autograd_seconds``/``nograd_seconds`` names date from when
+  ``predict()`` recorded an autograd graph;
 - **fused batching** — one ``predict_many`` over all test designs vs
-  a per-design autograd ``predict()`` loop (>= 1.5x).
+  a per-design ``TimingPredictor.predict`` loop (>= 1.5x).
 
-Every timed variant is also checked for numerical equivalence with the
-seed path (atol 1e-10) — a fast wrong answer is not a speedup.
+Every timed variant is also checked for numerical equivalence with
+``TimingPredictor.predict`` (atol 1e-10) — a fast wrong answer is not
+a speedup.
 
 Measured numbers land in ``benchmarks/BENCH_inference.json`` (schema:
 ``repro.obs.schema.validate_bench_inference``; the committed copy is
@@ -71,19 +77,22 @@ def measurements(dataset, model):
     target = max(designs, key=lambda d: d.num_endpoints)
     n = repeats()
 
+    def single(engine):
+        return engine.predict_many([target])[target.name].mean
+
     # -- single design: cold (fresh engine, first call) vs warm ------
     # One throwaway prediction first so BLAS/threadpool init is not
     # billed to the cold call.
-    InferenceEngine(model).predict(min(designs,
-                                       key=lambda d: d.num_endpoints))
+    InferenceEngine(model).predict_many(
+        [min(designs, key=lambda d: d.num_endpoints)])
     engine = InferenceEngine(model)
     start = time.perf_counter()
-    cold_pred = engine.predict(target)
+    cold_pred = single(engine)
     cold = time.perf_counter() - start
-    warm = _best(lambda: engine.predict(target), n)
-    warm_pred = engine.predict(target)
+    warm = _best(lambda: single(engine), n)
+    warm_pred = single(engine)
 
-    # -- forward: autograd predict() vs uncached no-grad engine ------
+    # -- forward: TimingPredictor.predict vs uncached engine ---------
     bare = InferenceEngine(model, use_cache=False)
     auto_s, nograd_s = [], []
     for _ in range(max(3, n // 3)):  # interleave: same noise windows
@@ -91,10 +100,10 @@ def measurements(dataset, model):
         auto_pred = model.predict(target)
         auto_s.append(time.perf_counter() - start)
         start = time.perf_counter()
-        nograd_pred = bare.predict(target)
+        nograd_pred = single(bare)
         nograd_s.append(time.perf_counter() - start)
 
-    # -- batched no-grad predict_many vs looped autograd predict -----
+    # -- batched predict_many vs looped TimingPredictor.predict ------
     loop_s, fused_s = [], []
     for _ in range(max(3, n // 3)):
         start = time.perf_counter()

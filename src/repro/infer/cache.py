@@ -20,9 +20,10 @@ Digesting the full parameter set costs one pass over ~10^5 floats
 Both :class:`FeatureCache` and :class:`BoundedLRU` are thread-safe:
 the resident server (`repro.serve`) hits them from every handler
 thread, where unguarded dict writes and bare ``hits += 1`` counters
-are lost-update races.  Every public method takes the instance lock;
-entry bounds evict least-recently-used so a long-lived process serving
-an open-ended design population cannot grow without limit.
+are lost-update races.  Every public method takes the instance lock.
+The feature cache holds one entry per design; :class:`BoundedLRU`
+evicts least-recently-used entries, so a long-lived process serving
+an open-ended stream of design sets cannot grow without limit.
 """
 
 from __future__ import annotations
@@ -95,9 +96,9 @@ def design_key(design) -> Tuple[str, str, str]:
 class BoundedLRU:
     """Thread-safe mapping with least-recently-used eviction.
 
-    The inference engine memoises weight-independent per-design /
-    per-design-set structures (im2col columns, fused batch graphs) in
-    instances of this: in a resident server every distinct request mix
+    The inference engine memoises its weight-independent per-design-set
+    structures (fused batch graphs with their im2col columns) in an
+    instance of this: in a resident server every distinct request mix
     would otherwise pin a full union-graph batch forever.  ``get``
     refreshes recency; ``put`` evicts the coldest entries past
     ``max_entries`` (None = unbounded) and counts them in
@@ -152,24 +153,19 @@ class FeatureCache:
 
     An entry is valid only for the digest it was stored under; a lookup
     with a different digest misses (and the subsequent store replaces
-    the stale entry, so memory stays bounded at one triple per design —
-    plus, optionally, an LRU bound on the design population itself via
-    ``max_entries``).
+    the stale entry, so memory stays bounded at one triple per design).
 
     Thread-safe: lookup/store and the hit/miss counters are guarded by
     one lock, so concurrent server threads never lose counter updates
     or observe a half-written entry.
     """
 
-    def __init__(self, max_entries: Optional[int] = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1 (or None)")
-        self.max_entries = max_entries
-        self._store: "OrderedDict[Tuple[str, str, str], Tuple[str, FeatureTriple]]" = OrderedDict()
+    def __init__(self) -> None:
+        self._store: Dict[Tuple[str, str, str],
+                          Tuple[str, FeatureTriple]] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
     def lookup(self, design, digest: str) -> Optional[FeatureTriple]:
         """The cached triple for ``design`` under ``digest``, or None."""
@@ -178,7 +174,6 @@ class FeatureCache:
             entry = self._store.get(key)
             if entry is not None and entry[0] == digest:
                 self.hits += 1
-                self._store.move_to_end(key)
                 return entry[1]
             self.misses += 1
             return None
@@ -186,14 +181,9 @@ class FeatureCache:
     def store(self, design, digest: str,
               features: FeatureTriple) -> None:
         """Insert (or replace) the design's triple under ``digest``."""
+        key = design_key(design)
         with self._lock:
-            key = design_key(design)
             self._store[key] = (digest, features)
-            self._store.move_to_end(key)
-            while self.max_entries is not None and \
-                    len(self._store) > self.max_entries:
-                self._store.popitem(last=False)
-                self.evictions += 1
 
     def clear(self) -> None:
         with self._lock:
@@ -206,5 +196,4 @@ class FeatureCache:
     def stats(self) -> Dict[str, int]:
         with self._lock:
             return {"hits": self.hits, "misses": self.misses,
-                    "entries": len(self._store),
-                    "evictions": self.evictions}
+                    "entries": len(self._store)}

@@ -1,45 +1,43 @@
 """Forward-only inference engine for the timing predictor.
 
 Serving a trained :class:`~repro.model.TimingPredictor` through its
-training-oriented ``predict()`` pays for machinery inference never
-uses: the autograd graph (backward closures allocated and immediately
-discarded), one full GNN sweep + CNN forward per call even when the
-model has not changed, and a separate prior-MLP forward per design.
-:class:`InferenceEngine` removes all three:
+per-design ``predict()`` repeats work a resident process need not
+repeat: one full GNN sweep + CNN forward per call even when the model
+has not changed, and a separate prior-MLP forward per design.
+:class:`InferenceEngine` has one prediction path,
+:meth:`~InferenceEngine.predict_many`, which removes both:
 
-- every forward runs inside :func:`repro.nn.no_grad`, so no graph is
-  recorded (bit-identical values, no bookkeeping);
 - extractor outputs are memoised per design in a
   :class:`~repro.infer.cache.FeatureCache` keyed by the model's weight
   digest, so repeated queries — the serving pattern — skip the GNN and
   CNN entirely and reduce to two small matmuls;
-- ``predict_many`` merges the queried designs into one disjoint-union
-  graph (reusing :func:`repro.train.fused.merge_pin_graphs`) for a
-  single levelised sweep + one stacked CNN forward, and hoists the
-  transductive population-prior update out of the per-design loop into
+- the cache-missing designs are merged into one disjoint-union graph
+  (reusing :func:`repro.train.fused.merge_pin_graphs`) for a single
+  levelised sweep + one stacked CNN forward, and the transductive
+  population-prior update is hoisted out of the per-design loop into
   one batched prior-MLP forward;
 - the CNN is the training model's own :class:`~repro.model.LayoutCNN`
   forward under ``no_grad()`` (where max pooling takes its
   slice-maximum path), and the *weight-independent* parts of a cold
-  extraction — the first conv layer's im2col columns, handed to
-  ``F.conv2d`` as precomputed ``cols``, and the fused batch structure,
-  both functions of the immutable design data alone — are memoised per
-  design/design-set, so they survive weight updates that invalidate
-  the feature cache.
+  extraction — the fused batch structure and the first conv layer's
+  im2col columns of its stacked images, handed to ``F.conv2d`` as
+  precomputed ``cols``, both functions of the immutable design data
+  alone — are memoised per design set, so they survive weight updates
+  that invalidate the feature cache.
 
-Numerics are the training path's: every prediction matches
-``TimingPredictor.predict`` to ~1e-10 (asserted by
+Numerics are the training path's: ``predict_many([design])`` matches
+``TimingPredictor.predict(design)`` to ~1e-10 (asserted by
 ``tests/infer/test_engine.py`` and ``benchmarks/bench_inference.py``).
 
 The engine is **thread-safe and resident-process-safe** (the contract
 ``repro.serve`` builds on, DESIGN.md §13):
 
-- every public entry point enters :func:`repro.nn.no_grad` itself —
-  the flag is thread-local, so a server worker thread calling in from
-  a fresh thread must not depend on the constructing thread's scope;
-- the weight-independent structure caches are bounded LRUs
-  (``max_struct_entries`` / ``max_column_entries``), so an open-ended
-  stream of distinct request mixes cannot grow memory without limit;
+- ``predict_many`` enters :func:`repro.nn.no_grad` itself — the flag is
+  thread-local, so a server worker thread calling in from a fresh
+  thread must not depend on the constructing thread's scope;
+- the weight-independent structure cache is an LRU bounded at
+  :data:`MAX_STRUCT_ENTRIES`, so an open-ended stream of distinct
+  request mixes cannot grow memory without limit;
 - predictions take a shared read lock and :meth:`swap_model` takes the
   write side, so a hot-reload can never interleave with an in-flight
   forward (requests see the old weights or the new, never a mix);
@@ -65,12 +63,17 @@ from .cache import (BoundedLRU, FeatureCache, FeatureTriple, design_key,
 
 __all__ = ["InferenceEngine", "Prediction"]
 
+#: LRU bound on the fused batch structures (one per distinct set of
+#: cache-missing designs) a resident engine keeps across model updates.
+MAX_STRUCT_ENTRIES = 8
+
+
 def image_columns(images: np.ndarray, conv: Conv2d) -> np.ndarray:
     """``conv``'s im2col columns of ``images`` (the ``cols`` of ``F.conv2d``).
 
     Weight-independent (only the kernel geometry matters), so the
-    engine computes them once per design or design set and reuses them
-    across any number of model updates.
+    engine computes them once per design set and reuses them across any
+    number of model updates.
     """
     return im2col(images, conv.weight.shape[2:], conv.stride, conv.padding)
 
@@ -117,42 +120,22 @@ class InferenceEngine:
     use_cache:
         Memoise per-design extractor outputs keyed by the weight
         digest.  Disable for strictly stateless serving.
-    transductive:
-        Fold each queried design's own (unlabeled) paths into the node
-        population before reading the prior — Equation (7)'s "all the
-        timing paths on the target node" (matches ``predict()``'s
-        default).
-    max_struct_entries, max_column_entries:
-        LRU bounds on the two *weight-independent* caches: per-design
-        first-layer im2col columns and (for ``predict_many``) the
-        per-design-set union-graph batch structure.  Unlike the feature
-        cache these survive model updates — the inputs they derive
-        from are immutable flow outputs — and are keyed on each
-        design's content digest, not only its name.  A resident
-        process serving many distinct design *sets* would otherwise
-        keep one full union-graph batch per distinct request mix
-        forever; evictions are counted in :meth:`stats`.
-    cache_max_entries:
-        Optional LRU bound on the feature cache itself (None keeps the
-        historical one-entry-per-design behaviour).
+
+    Every prediction folds each queried design's own (unlabeled) paths
+    into its node population before reading the prior — Equation (7)'s
+    "all the timing paths on the target node", ``predict()``'s default.
     """
 
-    def __init__(self, model: TimingPredictor, use_cache: bool = True,
-                 transductive: bool = True,
-                 max_struct_entries: Optional[int] = 8,
-                 max_column_entries: Optional[int] = 64,
-                 cache_max_entries: Optional[int] = None) -> None:
+    def __init__(self, model: TimingPredictor,
+                 use_cache: bool = True) -> None:
         self.model = model
         self.cache: Optional[FeatureCache] = \
-            FeatureCache(max_entries=cache_max_entries) \
-            if use_cache else None
-        self.transductive = transductive
-        #: design key -> first-layer im2col columns of the design's
-        #: path images (weight-independent; LRU-bounded).
-        self._image_cols: BoundedLRU = BoundedLRU(max_column_entries)
+            FeatureCache() if use_cache else None
         #: design-set key -> (FusedDesignBatch, subsets, images, cols);
         #: the union graph and stacked images are weight-independent.
-        self._structs: BoundedLRU = BoundedLRU(max_struct_entries)
+        #: Keyed on each design's content digest, not only its name, and
+        #: evictions are counted in :meth:`stats`.
+        self._structs: BoundedLRU = BoundedLRU(MAX_STRUCT_ENTRIES)
         #: Shared by predictions (read) and swap_model (write): a
         #: hot-reload is mutually exclusive with in-flight forwards.
         self._rw = RWLock()
@@ -163,48 +146,6 @@ class InferenceEngine:
     def _digest(self) -> str:
         with timed("infer.digest"):
             return weight_digest(self.model)
-
-    def _columns_for(self, design: DesignData,
-                     images: np.ndarray) -> np.ndarray:
-        """Cached first-layer columns for one design."""
-        key = design_key(design)
-        cols = self._image_cols.get(key)
-        if cols is None:
-            cols = image_columns(images, self.model.extractor.cnn.conv1)
-            self._image_cols.put(key, cols)
-        return cols
-
-    def _disentangle(self, u_graph: np.ndarray, u_layout: np.ndarray
-                     ) -> FeatureTriple:
-        """Concatenate the two modalities and split ``u -> (u_n, u_d)``."""
-        u = np.concatenate([u_graph, u_layout], axis=1)
-        with no_grad():
-            u_n, u_d = self.model.disentangler(Tensor(u))
-        return u, u_n.data, u_d.data
-
-    def features(self, design: DesignData) -> FeatureTriple:
-        """``(u, u_n, u_d)`` arrays over the design's full endpoint set."""
-        with self._rw.read(), no_grad():
-            digest = self._digest() if self.cache is not None else ""
-            if self.cache is not None:
-                hit = self.cache.lookup(design, digest)
-                if hit is not None:
-                    return hit
-            model = self.model
-            with timed("infer.features"):
-                images = design.path_image_stack()
-                u_graph = model.extractor.gnn(
-                    design.graph, design.graph.endpoint_rows).data
-                u_layout = cnn_forward(
-                    model.extractor.cnn,
-                    images, cols=self._columns_for(design, images))
-                triple = self._disentangle(u_graph, u_layout)
-            # Store only if the weights are still the ones the triple
-            # was computed under: a concurrent weight edit that slipped
-            # past swap_model must not publish stale features.
-            if self.cache is not None and self._digest() == digest:
-                self.cache.store(design, digest, triple)
-            return triple
 
     def _batch_struct(self, missed: Sequence[DesignData]) -> tuple:
         """Weight-independent batch structure for a set of designs:
@@ -243,7 +184,8 @@ class InferenceEngine:
                 u_graph = model.extractor.gnn(batch.graph, rows).data
                 u_layout = cnn_forward(model.extractor.cnn, images,
                                        cols=cols)
-                u, u_n, u_d = self._disentangle(u_graph, u_layout)
+                u = np.concatenate([u_graph, u_layout], axis=1)
+                u_n, u_d = (t.data for t in model.disentangler(Tensor(u)))
             # One digest recompute per coalesced batch: store the whole
             # batch's triples only if the weights did not change under
             # us while the fused forward ran.
@@ -273,12 +215,8 @@ class InferenceEngine:
         rows = []
         for design, (_, u_n, u_d) in zip(designs, triples):
             model._prior_weights(design.node)  # raises if not finalised
-            if self.transductive:
-                rows.append(model._prior_feature(design.node,
-                                                 extra_un=u_n,
-                                                 extra_ud=u_d))
-            else:
-                rows.append(model._prior_feature(design.node))
+            rows.append(model._prior_feature(design.node, extra_un=u_n,
+                                             extra_ud=u_d))
         with timed("infer.prior"), no_grad():
             mu, log_var = model.readout.weight_distribution(
                 Tensor(np.concatenate(rows, axis=0)))
@@ -289,56 +227,17 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     def _readout(self, u: np.ndarray, mu: np.ndarray,
                  log_var: np.ndarray, mc_samples: int,
-                 rng: Optional[np.random.Generator], seed: int,
+                 draw: np.random.Generator,
                  with_std: bool) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Apply the prior readout to features (vectorised MC draws)."""
         model = self.model
         if mc_samples > 0:
-            draw = rng if rng is not None else np.random.default_rng(seed)
             preds = model._sample_prior_predictions(
                 u, mu, log_var, mc_samples, draw)
             std = preds.std(axis=0) if with_std else None
             return preds.mean(axis=0), std
         mean = u @ mu[0] + float(model.readout.bias.data[0])
         return mean, None
-
-    def predict(self, design: DesignData,
-                endpoint_subset: Optional[np.ndarray] = None,
-                mc_samples: int = 0,
-                rng: Optional[np.random.Generator] = None,
-                seed: int = 0) -> np.ndarray:
-        """Arrival-time predictions, numerically matching
-        ``TimingPredictor.predict`` — minus the autograd machinery, and
-        with warm calls skipping the GNN/CNN via the feature cache."""
-        with self._rw.read(), no_grad(), timed("infer.predict"):
-            u, u_n, u_d = self.features(design)
-            if endpoint_subset is not None:
-                idx = np.asarray(endpoint_subset)
-                u, u_n, u_d = u[idx], u_n[idx], u_d[idx]
-            mu, log_var = self.model._design_prior(
-                design, u_n, u_d, self.transductive)
-            mean, _ = self._readout(u, mu, log_var, mc_samples, rng,
-                                    seed, with_std=False)
-        return mean
-
-    def predict_with_uncertainty(self, design: DesignData,
-                                 endpoint_subset: Optional[np.ndarray] = None,
-                                 mc_samples: int = 16,
-                                 rng: Optional[np.random.Generator] = None,
-                                 seed: int = 0
-                                 ) -> Tuple[np.ndarray, np.ndarray]:
-        """Predictive mean and std per endpoint (cached features)."""
-        with self._rw.read(), no_grad(), timed("infer.predict"):
-            u, u_n, u_d = self.features(design)
-            if endpoint_subset is not None:
-                idx = np.asarray(endpoint_subset)
-                u, u_n, u_d = u[idx], u_n[idx], u_d[idx]
-            mu, log_var = self.model._design_prior(
-                design, u_n, u_d, transductive=True)
-            draw = rng if rng is not None else np.random.default_rng(seed)
-            preds = self.model._sample_prior_predictions(
-                u, mu, log_var, mc_samples, draw)
-        return preds.mean(axis=0), preds.std(axis=0)
 
     def predict_many(self, designs: Sequence[DesignData],
                      mc_samples: int = 0,
@@ -351,8 +250,9 @@ class InferenceEngine:
 
         When ``rng`` is None each design draws from a fresh
         ``default_rng(seed)``, so results match per-design
-        ``predict(..., seed=seed)`` calls exactly; pass an explicit
-        generator to consume one stream across designs instead.
+        ``TimingPredictor.predict(..., seed=seed)`` calls exactly; pass
+        an explicit generator to consume one stream across designs
+        instead.
         """
         if with_uncertainty and mc_samples <= 0:
             raise ValueError("uncertainty needs mc_samples > 0")
@@ -365,7 +265,7 @@ class InferenceEngine:
                     np.random.default_rng(seed)
                 mean, std = self._readout(
                     u, mu_all[i:i + 1], lv_all[i:i + 1], mc_samples,
-                    draw, seed, with_std=with_uncertainty)
+                    draw, with_std=with_uncertainty)
                 out[design.name] = Prediction(design.name, design.node,
                                               mean, std)
         return out
@@ -381,8 +281,8 @@ class InferenceEngine:
         request sees the old weights or the new, never a mixture.  The
         feature cache needs no flush — its entries are digest-keyed, so
         the new weights simply miss.  The weight-independent structure
-        caches survive unless the new model's first conv layer has a
-        different geometry (then the cached im2col columns are shaped
+        cache survives unless the new model's first conv layer has a
+        different geometry (then its cached im2col columns are shaped
         for the wrong kernel and are dropped).
         """
         old = self.model.extractor.cnn.conv1
@@ -393,20 +293,18 @@ class InferenceEngine:
         with self._rw.write():
             self.model = model
             if not compatible:
-                self._image_cols.clear()
                 self._structs.clear()
 
     # ------------------------------------------------------------------
     def cache_stats(self) -> Dict[str, int]:
         """Hit/miss/entry counters (zeros when the cache is disabled)."""
         if self.cache is None:
-            return {"hits": 0, "misses": 0, "entries": 0, "evictions": 0}
+            return {"hits": 0, "misses": 0, "entries": 0}
         return self.cache.stats()
 
     def stats(self) -> Dict[str, Dict[str, int]]:
-        """Entry/eviction counters for every cache tier (for /stats)."""
+        """Entry/eviction counters for both cache tiers (for /stats)."""
         return {
             "features": self.cache_stats(),
             "structs": self._structs.stats(),
-            "image_columns": self._image_cols.stats(),
         }

@@ -89,24 +89,6 @@ class BayesianReadout(Module):
         log_var = self.logvar_net(u).clip(*_LOGVAR_RANGE)
         return mu, log_var
 
-    def predict_mean(self, u: Tensor, z: Tensor) -> Tensor:
-        """Posterior-mean prediction (exact expectation of the MC mean).
-
-        ``u`` is the raw path feature the linear layer W applies to;
-        ``z = [u_n, u_d]`` is the disentangled feature that W's
-        distribution is conditioned on (Equation 9).  Because ``y`` is
-        linear in W, averaging predictions over samples converges to
-        using ``mu`` directly; evaluation uses this form.
-        """
-        w, _ = self.weight_distribution(z)
-        return (u * w).sum(axis=1, keepdims=True) + self.bias
-
-    def sample_predictions(self, u: Tensor, z: Tensor,
-                           n_samples: Optional[int] = None) -> Tensor:
-        """MC predictions ``(S, K, 1)`` via the reparameterisation trick."""
-        mu, log_var = self.weight_distribution(z)
-        return self.sample_predictions_from(u, mu, log_var, n_samples)
-
     def draw_noise(self, mu_shape: Tuple[int, ...],
                    n_samples: Optional[int] = None) -> np.ndarray:
         """Reparameterisation noise ``(S,) + mu_shape`` for one MC pass.

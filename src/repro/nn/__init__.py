@@ -6,7 +6,7 @@ Public surface:
 - layers in :mod:`repro.nn.layers` (:class:`Linear`, :class:`Conv2d`,
   :class:`MLP`, ...)
 - functional ops and losses in :mod:`repro.nn.functional`
-- optimisers in :mod:`repro.nn.optim`
+- the Adam optimiser in :mod:`repro.nn.optim`
 """
 
 from . import functional
@@ -16,28 +16,15 @@ from .compile import (CompiledStep, CompileError, ReplayMismatch,
 from .grad_mode import enable_grad, is_grad_enabled, no_grad
 from .layers import (
     Conv2d,
-    Flatten,
-    LayerNorm,
     Linear,
-    MaxPool2d,
     MLP,
     Module,
     ReLU,
     Sequential,
-    Sigmoid,
     Tanh,
 )
-from .optim import Adam, Optimizer, SGD
-from .schedulers import (
-    ConstantLR,
-    CosineDecay,
-    LinearDecay,
-    Scheduler,
-    StepDecay,
-    WarmupWrapper,
-)
-from .serialization import (CheckpointError, atomic_savez, load_module,
-                            save_module)
+from .optim import Adam, Optimizer
+from .serialization import CheckpointError, atomic_savez
 from .tensor import (
     Tensor,
     as_tensor,
@@ -50,24 +37,13 @@ from .tensor import (
 
 __all__ = [
     "Adam",
-    "ConstantLR",
     "Conv2d",
-    "CosineDecay",
-    "Flatten",
-    "LayerNorm",
     "Linear",
-    "MaxPool2d",
     "MLP",
     "Module",
     "Optimizer",
     "ReLU",
-    "LinearDecay",
-    "SGD",
-    "Scheduler",
     "Sequential",
-    "StepDecay",
-    "WarmupWrapper",
-    "Sigmoid",
     "Tanh",
     "Tensor",
     "as_tensor",
@@ -79,9 +55,7 @@ __all__ = [
     "is_grad_enabled",
     "CheckpointError",
     "atomic_savez",
-    "load_module",
     "no_grad",
-    "save_module",
     "scatter_add_rows",
     "stack",
     "where",

@@ -24,8 +24,8 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["Tape", "TapeEntry", "ACTIVE", "emit", "poison",
-           "current_tape", "push_tape", "pop_tape"]
+__all__ = ["Tape", "TapeEntry", "ACTIVE", "emit", "current_tape",
+           "push_tape", "pop_tape"]
 
 #: Module-global fast-path flag: True iff *some* thread has a tape
 #: open.  Ops check this before touching thread-local state.
@@ -63,8 +63,6 @@ class Tape:
         #: arrays themselves are kept alive in ``input_arrays``.
         self.index_names: Dict[int, str] = {}
         self.input_arrays: Dict[str, Any] = {}
-        #: Why this tape cannot be compiled (set by untraceable ops).
-        self.poison_reason: Optional[str] = None
 
 
 def current_tape() -> Optional[Tape]:
@@ -96,10 +94,3 @@ def emit(op: Optional[str], out: Any, parents: Tuple[Any, ...],
     tape = current_tape()
     if tape is not None:
         tape.entries.append(TapeEntry(op, out, parents, attrs))
-
-
-def poison(reason: str) -> None:
-    """Mark the active tape as uncompilable (e.g. a stochastic op)."""
-    tape = current_tape()
-    if tape is not None and tape.poison_reason is None:
-        tape.poison_reason = reason

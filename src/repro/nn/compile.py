@@ -68,13 +68,13 @@ from .tensor import Tensor
 
 __all__ = [
     "CompileError", "ReplayMismatch", "CompiledStep", "trace",
-    "step_input", "step_index", "KERNELS", "COMPOSITE_OPS",
-    "UNTRACEABLE_OPS", "TraceOp", "tape_metadata",
+    "step_input", "step_index", "KERNELS", "COMPOSITE_OPS", "TraceOp",
+    "tape_metadata",
 ]
 
 
 class CompileError(RuntimeError):
-    """The traced tape cannot be compiled (unknown/stochastic op...)."""
+    """The traced tape cannot be compiled (unregistered op, bad root...)."""
 
 
 class ReplayMismatch(CompileError):
@@ -140,14 +140,11 @@ def step_index(name: str, index: np.ndarray) -> np.ndarray:
 KERNELS: Dict[str, Op] = OPS
 #: Public ``repro.nn.functional`` ops that trace *through* primitives.
 COMPOSITE_OPS = frozenset({
-    "softmax", "mse_loss", "mae_loss", "gaussian_nll", "huber_loss",
-    "global_avg_pool2d",
+    "mse_loss", "global_avg_pool2d",
     # K-node alignment losses (repro.model.losses): pure compositions
     # of primitives, traced through like any other expression.
     "node_contrastive_loss_multi", "cmd_loss_multi",
 })
-#: Ops that legitimately poison a trace (stochastic per call).
-UNTRACEABLE_OPS = frozenset({"dropout"})
 
 
 # ----------------------------------------------------------------------
@@ -252,9 +249,6 @@ class CompiledStep:
     def __init__(self, tape: Tape, root: Tensor,
                  outputs: Optional[Dict[str, Tensor]] = None,
                  dtype: str = "float64") -> None:
-        if tape.poison_reason is not None:
-            raise CompileError(
-                f"tape cannot be compiled: {tape.poison_reason}")
         if root.data.size != 1:
             raise CompileError("root of a compiled step must be a scalar")
         if not root.requires_grad:

@@ -1,27 +1,22 @@
 """Functional neural-network operations built on the autograd engine.
 
-Includes the convolution/pooling primitives used by the layout CNN, the
-softmax family used by the contrastive loss, and the regression losses used
-by the timing predictor (MSE and the Gaussian negative log-likelihood that
-appears inside the ELBO).  The primitives here (``log_softmax``,
-``conv2d``, ``max_pool2d``, ``avg_pool2d``) are registry ops whose numpy
-forward and backward live in :mod:`repro.nn.ops`; everything else
-composes them.
+Includes the convolution/pooling primitives used by the layout CNN,
+``log_softmax`` for the contrastive loss, and the MSE regression loss.
+The primitives here (``log_softmax``, ``conv2d``, ``max_pool2d``,
+``avg_pool2d``) are registry ops whose numpy forward and backward live
+in :mod:`repro.nn.ops`; everything else composes them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import _tracing
 from .grad_mode import is_grad_enabled
 from .tensor import Tensor, _finish, apply, as_tensor
 
-LOG_2PI = float(np.log(2.0 * np.pi))
-
 
 # ----------------------------------------------------------------------
-# Softmax family
+# Softmax
 # ----------------------------------------------------------------------
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``.
@@ -35,47 +30,14 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return apply("log_softmax", (x,), {"axis": axis})
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
-    return log_softmax(x, axis=axis).exp()
-
-
 # ----------------------------------------------------------------------
-# Losses
+# Loss
 # ----------------------------------------------------------------------
 def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
     """Mean squared error over all elements."""
     target = as_tensor(target)
     diff = prediction - target.detach()
     return (diff * diff).mean()
-
-
-def mae_loss(prediction: Tensor, target: Tensor) -> Tensor:
-    """Mean absolute error over all elements."""
-    target = as_tensor(target)
-    return (prediction - target.detach()).abs().mean()
-
-
-def gaussian_nll(prediction: Tensor, target: Tensor,
-                 log_var: Tensor) -> Tensor:
-    """Mean Gaussian negative log-likelihood.
-
-    ``-log p(y | mu, sigma^2)`` with ``mu = prediction`` and
-    ``sigma^2 = exp(log_var)``, averaged over elements.  This is the
-    likelihood term of the ELBO in Equation (8)/(11) of the paper.
-    """
-    target = as_tensor(target)
-    diff = prediction - target.detach()
-    inv_var = (-log_var).exp()
-    return (0.5 * (log_var + diff * diff * inv_var + LOG_2PI)).mean()
-
-
-def huber_loss(prediction: Tensor, target: Tensor, delta: float = 1.0) -> Tensor:
-    """Mean Huber (smooth-L1) loss; robust alternative used in ablations."""
-    target = as_tensor(target)
-    diff = (prediction - target.detach()).abs()
-    clipped = diff.clip(0.0, delta)
-    return (0.5 * clipped * clipped + delta * (diff - clipped)).mean()
 
 
 # ----------------------------------------------------------------------
@@ -141,18 +103,3 @@ def global_avg_pool2d(x: Tensor) -> Tensor:
     """Average over the spatial dimensions, (N, C, H, W) -> (N, C)."""
     return x.mean(axis=(2, 3))
 
-
-def dropout(x: Tensor, rate: float, rng: np.random.Generator,
-            training: bool = True) -> Tensor:
-    """Inverted dropout; identity when not training or rate == 0.
-
-    Untraceable: the mask is redrawn per call, so a compiled replay
-    would freeze one mask forever.  An active trace is poisoned and the
-    trainer falls back to eager execution.
-    """
-    if not training or rate <= 0.0:
-        return x
-    if _tracing.ACTIVE:
-        _tracing.poison("dropout draws a fresh random mask per call")
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * Tensor(mask)

@@ -35,11 +35,6 @@ def zeros(shape: Tuple[int, ...]) -> np.ndarray:
     return np.zeros(shape)
 
 
-def constant(shape: Tuple[int, ...], value: float) -> np.ndarray:
-    """Constant initialisation."""
-    return np.full(shape, float(value))
-
-
 def _fans(shape: Tuple[int, ...]) -> Tuple[int, int]:
     if len(shape) == 1:
         return shape[0], shape[0]

@@ -25,9 +25,6 @@ class Module:
     attributes.  :meth:`parameters` walks the attribute tree recursively.
     """
 
-    def __init__(self) -> None:
-        self.training = True
-
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
@@ -54,33 +51,10 @@ class Module:
         """Return all trainable parameters of the module tree."""
         return [p for _, p in self.named_parameters()]
 
-    def num_parameters(self) -> int:
-        """Total number of trainable scalar parameters."""
-        return sum(p.size for p in self.parameters())
-
     def zero_grad(self) -> None:
         """Clear the gradient buffers of every parameter."""
         for p in self.parameters():
             p.grad = None
-
-    # -- train/eval mode ---------------------------------------------------
-    def train(self) -> "Module":
-        self._set_mode(True)
-        return self
-
-    def eval(self) -> "Module":
-        self._set_mode(False)
-        return self
-
-    def _set_mode(self, training: bool) -> None:
-        self.training = training
-        for value in vars(self).values():
-            if isinstance(value, Module):
-                value._set_mode(training)
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        item._set_mode(training)
 
     # -- state dict ---------------------------------------------------------
     def state_dict(self) -> Dict[str, np.ndarray]:
@@ -160,28 +134,6 @@ class Tanh(Module):
         return x.tanh()
 
 
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-class Flatten(Module):
-    """Flatten all but the batch dimension."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.reshape(x.shape[0], -1)
-
-
-class MaxPool2d(Module):
-    def __init__(self, kernel: int = 2, stride: Optional[int] = None) -> None:
-        super().__init__()
-        self.kernel = kernel
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.max_pool2d(x, self.kernel, self.stride)
-
-
 class Sequential(Module):
     """Apply submodules in order."""
 
@@ -217,7 +169,7 @@ class MLP(Module):
         ``MLP_d`` appends a tanh; ``MLP_n`` has none).
     """
 
-    _ACTIVATIONS = {"relu": ReLU, "tanh": Tanh, "sigmoid": Sigmoid}
+    _ACTIVATIONS = {"relu": ReLU, "tanh": Tanh}
 
     def __init__(self, sizes: Sequence[int], rng: np.random.Generator,
                  activation: str = "relu",
@@ -236,19 +188,3 @@ class MLP(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return self.net(x)
-
-
-class LayerNorm(Module):
-    """Layer normalisation over the last dimension."""
-
-    def __init__(self, dim: int, eps: float = 1e-5) -> None:
-        super().__init__()
-        self.eps = eps
-        self.gamma = Tensor(np.ones(dim), requires_grad=True)
-        self.beta = Tensor(np.zeros(dim), requires_grad=True)
-
-    def forward(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        normed = (x - mu) / ((var + self.eps) ** 0.5)
-        return normed * self.gamma + self.beta

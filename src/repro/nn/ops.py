@@ -205,7 +205,9 @@ def _matmul_grad(g, ins, out, attrs, need, state):
             g_a = g @ np.swapaxes(b, -1, -2)
         g_a = _unbroadcast(np.asarray(g_a), a.shape)
     if need[1]:
-        if a.ndim == 1:
+        if a.ndim == 1 and g.ndim == 0:
+            g_b = g * a     # vector @ vector: a dot product
+        elif a.ndim == 1:
             g_b = np.outer(a, g) if g.ndim == 1 \
                 else a[..., None] @ g[..., None, :]
         elif b.ndim == 1 and a.ndim > 2:

@@ -1,8 +1,8 @@
-"""Gradient-descent optimisers for the autograd engine."""
+"""The Adam optimiser for the autograd engine."""
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, Iterable, List, Mapping
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class Optimizer:
             )
 
     def _checked_buffers(self, state: Mapping[str, Any], key: str
-                         ) -> List[Optional[np.ndarray]]:
+                         ) -> List[np.ndarray]:
         """Validate + copy one per-parameter buffer list from ``state``."""
         buffers = state[key]
         if len(buffers) != len(self.parameters):
@@ -60,11 +60,10 @@ class Optimizer:
                 f"optimizer buffer {key!r} has {len(buffers)} entries "
                 f"for {len(self.parameters)} parameters"
             )
-        out: List[Optional[np.ndarray]] = []
+        out: List[np.ndarray] = []
         for i, (buf, p) in enumerate(zip(buffers, self.parameters)):
             if buf is None:
-                out.append(None)
-                continue
+                raise ValueError(f"optimizer buffer {key}[{i}] is None")
             buf = np.asarray(buf)
             if buf.shape != p.data.shape:
                 raise ValueError(
@@ -90,50 +89,6 @@ class Optimizer:
                 if p.grad is not None:
                     p.grad *= scale
         return norm
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, parameters: Iterable[Tensor], lr: float = 0.01,
-                 momentum: float = 0.0, weight_decay: float = 0.0) -> None:
-        super().__init__(parameters)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: List[Optional[np.ndarray]] = [None] * len(self.parameters)
-
-    def step(self) -> None:
-        for i, p in enumerate(self.parameters):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                if self._velocity[i] is None:
-                    self._velocity[i] = np.zeros_like(p.data)
-                self._velocity[i] = self.momentum * self._velocity[i] + grad
-                grad = self._velocity[i]
-            p.data -= self.lr * grad
-
-    def state_dict(self) -> Dict[str, Any]:
-        state = super().state_dict()
-        state.update(
-            lr=float(self.lr), momentum=float(self.momentum),
-            weight_decay=float(self.weight_decay),
-            velocity=[None if v is None else v.copy()
-                      for v in self._velocity],
-        )
-        return state
-
-    def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        super().load_state_dict(state)
-        velocity = self._checked_buffers(state, "velocity")
-        self.lr = float(state["lr"])
-        self.momentum = float(state["momentum"])
-        self.weight_decay = float(state["weight_decay"])
-        self._velocity = velocity
 
 
 class Adam(Optimizer):
@@ -182,8 +137,6 @@ class Adam(Optimizer):
         super().load_state_dict(state)
         m = self._checked_buffers(state, "m")
         v = self._checked_buffers(state, "v")
-        if any(buf is None for buf in m + v):
-            raise ValueError("Adam moment buffers cannot be None")
         self.lr = float(state["lr"])
         self.beta1 = float(state["beta1"])
         self.beta2 = float(state["beta2"])

@@ -1,13 +1,15 @@
-"""Saving and loading model parameters as ``.npz`` archives.
+"""Crash-safe ``.npz`` writes and the checkpoint error type.
 
-All writers here go through :func:`atomic_savez`, which stages the
-archive in a temporary file and ``os.replace``-renames it over the
-target.  A crash (or a full disk, or a SIGKILL) mid-save therefore
-never leaves a truncated archive at the destination path — the old
-file, if any, survives intact.  The rename also pins the final name
-exactly: ``np.savez_compressed`` silently appends ``.npz`` when the
-target lacks the suffix, so saving to ``model`` used to produce
-``model.npz`` and break any caller that later opened ``model``.
+Every archive writer (design caches, the trainer's resume checkpoints
+and the serving checkpoints of :mod:`repro.infer.serialization`) goes
+through :func:`atomic_savez`, which stages the archive in a temporary
+file and ``os.replace``-renames it over the target.  A crash (or a
+full disk, or a SIGKILL) mid-save therefore never leaves a truncated
+archive at the destination path — the old file, if any, survives
+intact.  The rename also pins the final name exactly:
+``np.savez_compressed`` silently appends ``.npz`` when the target lacks
+the suffix, so saving to ``model`` used to produce ``model.npz`` and
+break any caller that later opened ``model``.
 """
 
 from __future__ import annotations
@@ -18,10 +20,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .layers import Module
-
-__all__ = ["CheckpointError", "atomic_savez", "load_module",
-           "save_module"]
+__all__ = ["CheckpointError", "atomic_savez"]
 
 
 class CheckpointError(RuntimeError):
@@ -58,20 +57,3 @@ def atomic_savez(path: Union[str, Path],
         tmp.unlink(missing_ok=True)
         raise
     return path
-
-
-def save_module(module: Module, path: Union[str, Path]) -> Path:
-    """Write a module's state dict to ``path`` as a compressed ``.npz``.
-
-    Atomic (temp file + rename) and suffix-exact: the file lands at
-    ``path`` verbatim, even without a ``.npz`` extension.
-    """
-    return atomic_savez(path, module.state_dict())
-
-
-def load_module(module: Module, path: Union[str, Path]) -> Module:
-    """Load parameters saved by :func:`save_module` into ``module``."""
-    with np.load(str(path)) as archive:
-        state = {name: archive[name] for name in archive.files}
-    module.load_state_dict(state)
-    return module

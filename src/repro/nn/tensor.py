@@ -408,8 +408,3 @@ def scatter_add_rows(values: Tensor, index: np.ndarray, num_rows: int) -> Tensor
     return apply("scatter_add_rows", (values,),
                  {"index": np.asarray(index, dtype=np.int64),
                   "num_rows": num_rows})
-
-
-def no_grad_copy(tensor: Tensor) -> np.ndarray:
-    """Return a detached copy of the tensor's data."""
-    return tensor.data.copy()

@@ -33,14 +33,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
                              "seconds and hot-reload on change "
                              "(0 disables polling; POST /reload "
                              "always works)")
-    parser.add_argument("--max-struct-entries", type=int, default=8,
-                        help="LRU bound on cached union-graph batch "
-                             "structures")
-    parser.add_argument("--max-column-entries", type=int, default=64,
-                        help="LRU bound on cached im2col column maps")
-    parser.add_argument("--no-warmup", action="store_true",
-                        help="skip the startup sweep that primes the "
-                             "feature cache for every served design")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workers", type=int, default=1,
                         help="processes for cold dataset builds")
@@ -85,14 +77,11 @@ def run_from_args(args: argparse.Namespace) -> int:
     config = ServerConfig(host=args.host, port=args.port,
                           batch_window_ms=args.batch_window_ms,
                           max_batch=args.max_batch,
-                          poll_interval=args.poll_interval,
-                          max_struct_entries=args.max_struct_entries,
-                          max_column_entries=args.max_column_entries)
+                          poll_interval=args.poll_interval)
     server = PredictionServer(designs, model, model_path=args.model,
                               config=config)
-    if not args.no_warmup:
-        warmed = warm_up(server.service)
-        print(f"feature cache primed for {warmed} designs")
+    warmed = warm_up(server.service)
+    print(f"feature cache primed for {warmed} designs")
     server.start()
     mode = (f"coalescing window {config.batch_window_ms} ms, "
             f"max batch {config.max_batch}"

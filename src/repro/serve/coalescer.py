@@ -14,12 +14,12 @@ N handler threads into that shape:
   ``predict_many`` sweep, and fans the per-design results back out;
 - requests are compatible when their options agree — ``predict_many``
   draws a fresh seeded generator per design, so a fused call returns
-  bit-identical results to per-design ``predict`` calls with the same
+  bit-identical results to single-design calls with the same
   ``(mc_samples, with_uncertainty, seed)``.
 
-With ``batch_window_ms == 0`` the worker never waits for companions —
-every request is its own batch — which is exactly the no-coalescing
-baseline the serving benchmark compares against.
+The no-coalescing baseline the serving benchmark compares against
+(``--batch-window-ms 0``) builds no coalescer: each handler thread
+calls the engine itself (:class:`repro.serve.server.PredictionService`).
 """
 
 from __future__ import annotations
@@ -85,38 +85,32 @@ class RequestCoalescer:
         inside it), so the coalescer can hold it directly.
     batch_window_ms:
         Upper bound on how long the first request of a batch waits for
-        companions.  0 disables coalescing (each request is its own
-        batch).
+        companions; must be > 0 (``max_batch=1`` gives single-request
+        batches).
     max_batch:
         Hard cap on requests fused into one sweep.
-    idle_gap_ms:
-        Adaptive early close: once the queue has been idle this long,
-        the batch dispatches without waiting out the rest of the
-        window.  Concurrent requests land microseconds apart, so with
-        a closed-loop client fleet the full window would otherwise be
-        pure dead time every round; too small a gap splits a batch
-        whenever a client thread is briefly starved, paying a second
-        sweep for the stragglers.  Default: ``batch_window_ms / 2``
-        (at least 0.2 ms).
+
+    Batches also close early: once the queue has been idle for
+    ``idle_gap_ms`` (``batch_window_ms / 2``, at least 0.2 ms), the
+    batch dispatches without waiting out the rest of the window.
+    Concurrent requests land microseconds apart, so with a closed-loop
+    client fleet the full window would otherwise be pure dead time
+    every round; too small a gap splits a batch whenever a client
+    thread is briefly starved, paying a second sweep for the
+    stragglers.
     """
 
     def __init__(self, engine: InferenceEngine,
                  batch_window_ms: float = 2.0,
-                 max_batch: int = 32,
-                 idle_gap_ms: Optional[float] = None) -> None:
-        if batch_window_ms < 0:
-            raise ValueError("batch_window_ms must be >= 0")
+                 max_batch: int = 32) -> None:
+        if batch_window_ms <= 0:
+            raise ValueError("batch_window_ms must be > 0")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.engine = engine
         self.batch_window_ms = float(batch_window_ms)
         self.max_batch = int(max_batch)
-        if idle_gap_ms is None:
-            idle_gap_ms = max(0.2, self.batch_window_ms / 2) \
-                if self.batch_window_ms > 0 else 0.0
-        if idle_gap_ms < 0:
-            raise ValueError("idle_gap_ms must be >= 0")
-        self.idle_gap_ms = float(idle_gap_ms)
+        self.idle_gap_ms = max(0.2, self.batch_window_ms / 2)
         self._queue: "queue.Queue[PendingPrediction]" = queue.Queue()
         self._closed = threading.Event()
         self._stats_lock = threading.Lock()
@@ -160,10 +154,6 @@ class RequestCoalescer:
         except queue.Empty:
             return None
         batch = [first]
-        if self.batch_window_ms == 0:
-            # No-coalescing baseline: strictly one request per sweep,
-            # even if more are already queued.
-            return batch
         deadline = time.monotonic() + self.batch_window_ms / 1e3
         while len(batch) < self.max_batch:
             remaining = deadline - time.monotonic()

@@ -10,10 +10,11 @@ HTTP — no new dependencies:
     requests landing within the coalescing window are fused into one
     ``predict_many`` union-graph sweep (see
     :mod:`repro.serve.coalescer`); the response reports how many
-    requests shared the sweep.  A body longer than
-    :data:`MAX_BODY_BYTES` is refused with 413, and a malformed
-    ``Content-Length`` or a truncated body with 400; both close the
-    connection.
+    requests shared the sweep.  ``mc_samples`` must lie in
+    ``[0, MAX_MC_SAMPLES]`` and ``uncertainty`` must be a JSON boolean;
+    anything else is a 400.  A body longer than :data:`MAX_BODY_BYTES`
+    is refused with 413, and a malformed ``Content-Length`` or a
+    truncated body with 400; both close the connection.
 
 ``GET /healthz`` / ``GET /stats``
     Liveness (model digest, generation) and serving telemetry: cache
@@ -26,9 +27,10 @@ HTTP — no new dependencies:
     the engine (also triggered by mtime polling).  The blake2b weight
     digest keys the feature cache, so no explicit flush happens — old
     entries simply stop matching.  A checkpoint that fails to load
-    (torn file, wrong version) is reported and the old model keeps
-    serving; a request can never observe a half-swapped model because
-    the swap takes the engine's write lock.
+    (torn file, wrong version) or whose input width differs from the
+    served model's is reported and the old model keeps serving; a
+    request can never observe a half-swapped model because the swap
+    takes the engine's write lock.
 
 The split mirrors the learner/serving architecture of the
 circuit-training exemplar: :class:`ModelContainer` is the variable
@@ -51,12 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..flow import DesignData
-from ..infer import (
-    InferenceEngine,
-    Prediction,
-    load_predictor,
-    weight_digest,
-)
+from ..infer import InferenceEngine, load_predictor, weight_digest
 from ..model import TimingPredictor
 from ..nn.serialization import CheckpointError
 from ..util import get_timings
@@ -69,28 +66,29 @@ __all__ = ["ModelContainer", "PredictionServer", "PredictionService",
 #: 100 bytes; a longer declared ``Content-Length`` is refused unread.
 MAX_BODY_BYTES = 1 << 16
 
+#: Largest ``mc_samples`` one ``/predict`` may ask for.  A request's
+#: memory grows linearly with it, so an unbounded value would let one
+#: request exhaust the host.
+MAX_MC_SAMPLES = 4096
+
+#: Request latencies kept for the ``/stats`` percentiles.
+LATENCY_WINDOW = 4096
+
 
 class ServerConfig:
     """Knobs of one serving process (CLI flags map 1:1 onto these)."""
 
     __slots__ = ("host", "port", "batch_window_ms", "max_batch",
-                 "poll_interval", "mc_samples", "max_struct_entries",
-                 "max_column_entries", "latency_window")
+                 "poll_interval")
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  batch_window_ms: float = 2.0, max_batch: int = 32,
-                 poll_interval: float = 0.0,
-                 max_struct_entries: int = 8,
-                 max_column_entries: int = 64,
-                 latency_window: int = 4096) -> None:
+                 poll_interval: float = 0.0) -> None:
         self.host = host
         self.port = port
         self.batch_window_ms = batch_window_ms
         self.max_batch = max_batch
         self.poll_interval = poll_interval
-        self.max_struct_entries = max_struct_entries
-        self.max_column_entries = max_column_entries
-        self.latency_window = latency_window
 
 
 class ModelContainer:
@@ -100,17 +98,14 @@ class ModelContainer:
     fresh :func:`~repro.infer.load_predictor` (which validates the full
     archive *before* building a model) and swaps it into the engine
     under the engine's write lock.  Readers never see an intermediate
-    state; a failed load leaves the old model serving and is recorded
-    for /stats.
+    state; a failed load, or a model whose input width differs from
+    the served one (the served designs could not run it), leaves the
+    old model serving and is recorded for /stats.
     """
 
     def __init__(self, model: TimingPredictor,
-                 model_path: Union[str, Path, None] = None,
-                 max_struct_entries: int = 8,
-                 max_column_entries: int = 64) -> None:
-        self.engine = InferenceEngine(
-            model, max_struct_entries=max_struct_entries,
-            max_column_entries=max_column_entries)
+                 model_path: Union[str, Path, None] = None) -> None:
+        self.engine = InferenceEngine(model)
         self.model_path = Path(model_path) if model_path else None
         self._lock = threading.Lock()
         self.generation = 1
@@ -144,6 +139,13 @@ class ModelContainer:
             old_digest = self.digest
             try:
                 model = load_predictor(self.model_path)
+                served = self.engine.model.init_config["in_features"]
+                wanted = model.init_config["in_features"]
+                if wanted != served:
+                    raise CheckpointError(
+                        f"predictor checkpoint {self.model_path} expects "
+                        f"{wanted} input features, the served designs "
+                        f"have {served}")
             except CheckpointError as exc:
                 self.failed_reloads += 1
                 self.last_reload_error = str(exc)
@@ -206,7 +208,7 @@ class PredictionService:
                 container.engine,
                 batch_window_ms=self.config.batch_window_ms,
                 max_batch=self.config.max_batch)
-        self._latencies = deque(maxlen=self.config.latency_window)
+        self._latencies = deque(maxlen=LATENCY_WINDOW)
         self._latency_lock = threading.Lock()
         self._requests = 0
         self._errors = 0
@@ -240,12 +242,17 @@ class PredictionService:
         try:
             mc_samples = int(payload.get("mc_samples", 0))
             seed = int(payload.get("seed", 0))
-            uncertainty = bool(payload.get("uncertainty", False))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             return 400, {"error": "mc_samples/seed must be integers"}
+        uncertainty = payload.get("uncertainty", False)
+        if not isinstance(uncertainty, bool):
+            return 400, {"error": "uncertainty must be true or false"}
         if seed < 0:
             return 400, {"error": "seed must be non-negative"}
-        if uncertainty and mc_samples <= 0:
+        if not 0 <= mc_samples <= MAX_MC_SAMPLES:
+            return 400, {"error": f"mc_samples must be between 0 and "
+                                  f"{MAX_MC_SAMPLES}"}
+        if uncertainty and mc_samples == 0:
             mc_samples = 16
         try:
             if self.coalescer is not None:
@@ -257,17 +264,9 @@ class PredictionService:
             else:
                 # No-coalescing baseline: the handler thread calls the
                 # engine directly — the leanest per-request dispatch.
-                engine = self.container.engine
-                if uncertainty:
-                    mean, std = engine.predict_with_uncertainty(
-                        design, mc_samples=mc_samples, seed=seed)
-                else:
-                    mean = engine.predict(design,
-                                          mc_samples=mc_samples,
-                                          seed=seed)
-                    std = None
-                prediction = Prediction(design.name, design.node,
-                                        mean, std)
+                prediction = self.container.engine.predict_many(
+                    [design], mc_samples=mc_samples,
+                    with_uncertainty=uncertainty, seed=seed)[design.name]
                 batched_with = 1
         except CoalescerClosed:
             return 503, {"error": "server is shutting down"}
@@ -437,10 +436,7 @@ class PredictionServer:
                  model_path: Union[str, Path, None] = None,
                  config: Optional[ServerConfig] = None) -> None:
         self.config = config or ServerConfig()
-        self.container = ModelContainer(
-            model, model_path,
-            max_struct_entries=self.config.max_struct_entries,
-            max_column_entries=self.config.max_column_entries)
+        self.container = ModelContainer(model, model_path)
         self.service = PredictionService(designs, self.container,
                                          self.config)
         handler = type("BoundHandler", (_Handler,),

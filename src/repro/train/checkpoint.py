@@ -17,7 +17,7 @@ The archive layout::
     meta                 JSON: version, step, TrainConfig, RNG states,
                          optimizer scalars, history, ...
     param::<name>        every tensor of the model tree
-    opt::<buffer>::<i>   per-parameter optimiser buffers (m/v/velocity)
+    opt::<buffer>::<i>   per-parameter optimiser buffers (Adam m/v)
     keeper::<name>       best-validation snapshot (when selection is on)
     holdout::<design>    held-out endpoint indices (resume fingerprint)
 

@@ -215,7 +215,7 @@ class OursTrainer:
         # Compiled-step state: one CompiledStep per program signature
         # (warmup flag, per-design subset sizes, dtype) — a shape change
         # simply compiles a new program.  ``_compile_disabled`` latches
-        # on an unrecoverable CompileError (e.g. an untraceable op) and
+        # on an unrecoverable CompileError (e.g. an unregistered op) and
         # drops the run to eager; ``retraces`` counts replays invalidated
         # by rebound parameter arrays, capped per signature.
         self._programs: Dict[Tuple, CompiledStep] = {}

@@ -8,10 +8,13 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+import repro.infer.engine as engine_mod
 from repro.infer import InferenceEngine
 from repro.infer.cache import BoundedLRU, FeatureCache
 from repro.model import TimingPredictor
 from repro.nn import Tensor
+
+from .test_engine import predict_one
 
 
 # ----------------------------------------------------------------------
@@ -67,16 +70,16 @@ class TestBoundedLRU:
 
 
 # ----------------------------------------------------------------------
-# Bounded weight-independent engine caches
+# Bounded weight-independent engine cache
 # ----------------------------------------------------------------------
 class TestBoundedEngineCaches:
     def test_struct_cache_respects_bound(self, model, designs,
-                                         reference):
+                                         reference, monkeypatch):
         """Distinct design-set mixes must not grow ``_structs`` past the
-        bound — the resident-server leak this PR fixes — and eviction
-        must never change results."""
-        engine = InferenceEngine(model, use_cache=False,
-                                 max_struct_entries=2)
+        bound — a resident server would otherwise leak one union batch
+        per request mix — and eviction must never change results."""
+        monkeypatch.setattr(engine_mod, "MAX_STRUCT_ENTRIES", 2)
+        engine = InferenceEngine(model, use_cache=False)
         a, b = designs
         for batch in ([a], [b], [a, b], [b], [a]):
             out = engine.predict_many(batch)
@@ -88,15 +91,6 @@ class TestBoundedEngineCaches:
         assert stats["entries"] <= 2
         assert stats["evictions"] >= 1
         assert stats["max_entries"] == 2
-
-    def test_image_columns_respect_bound(self, model, designs):
-        engine = InferenceEngine(model, use_cache=False,
-                                 max_column_entries=1)
-        for d in designs:
-            engine.predict(d)
-        stats = engine.stats()["image_columns"]
-        assert stats["entries"] <= 1
-        assert stats["evictions"] >= 1
 
 
 # ----------------------------------------------------------------------
@@ -152,8 +146,8 @@ class TestNoGradLeak:
         """Grad mode is thread-local and defaults to *enabled*, so a
         server handler thread that calls the engine outside ``no_grad``
         would silently build autograd graphs for every request.  Every
-        tensor produced while a fresh thread runs the public entry
-        points must be graph-free."""
+        tensor produced while a fresh thread runs every prediction mode
+        must be graph-free."""
         engine = InferenceEngine(model)
         leaks = []
         made = []
@@ -171,10 +165,10 @@ class TestNoGradLeak:
 
         def run_all_entry_points():
             try:
-                engine.predict(designs[0])
-                engine.predict(designs[0], mc_samples=4, seed=3)
-                engine.predict_with_uncertainty(designs[1],
-                                                mc_samples=4, seed=1)
+                predict_one(engine, designs[0])
+                predict_one(engine, designs[0], mc_samples=4, seed=3)
+                predict_one(engine, designs[1], mc_samples=4,
+                            with_uncertainty=True, seed=1)
                 engine.predict_many(designs, mc_samples=2, seed=2)
             except BaseException as exc:   # surface in the main thread
                 failures.append(exc)
@@ -200,8 +194,7 @@ class TestConcurrentPredictions:
         """N threads hammering M designs on one warm engine must return
         exactly the serial answer — bit-identical, every call."""
         engine = InferenceEngine(model)
-        for d in designs:
-            engine.predict(d)   # warm: concurrent calls hit the cache
+        engine.predict_many(designs)   # warm: concurrent calls hit the cache
         n_threads, per_thread = 6, 10
         barrier = threading.Barrier(n_threads)
         mismatches = []
@@ -212,7 +205,7 @@ class TestConcurrentPredictions:
             try:
                 for k in range(per_thread):
                     d = designs[(tid + k) % len(designs)]
-                    out = engine.predict(d)
+                    out = predict_one(engine, d).mean
                     if not np.array_equal(out, reference[d.name]):
                         mismatches.append((tid, d.name))
             except BaseException as exc:
@@ -240,9 +233,9 @@ class TestSwapModel:
     def test_swap_switches_predictions(self, model, designs):
         other = self._trained(designs, seed=11)
         engine = InferenceEngine(model)
-        before = engine.predict(designs[0])
+        before = predict_one(engine, designs[0]).mean
         engine.swap_model(other)
-        after = engine.predict(designs[0])
+        after = predict_one(engine, designs[0]).mean
         np.testing.assert_allclose(after, other.predict(designs[0]),
                                    atol=1e-10)
         assert not np.allclose(before, after)
@@ -261,14 +254,11 @@ class TestSwapModel:
             self, model, designs):
         narrow = self._trained(designs, seed=5, cnn_channels=4)
         engine = InferenceEngine(model)
-        engine.predict(designs[0])   # cold: populates per-design columns
         engine.predict_many(designs)
         assert engine.stats()["structs"]["entries"] >= 1
-        assert engine.stats()["image_columns"]["entries"] >= 1
         engine.swap_model(narrow)
         assert engine.stats()["structs"]["entries"] == 0
-        assert engine.stats()["image_columns"]["entries"] == 0
         # And the swapped-in model actually serves.
-        np.testing.assert_allclose(engine.predict(designs[0]),
+        np.testing.assert_allclose(predict_one(engine, designs[0]).mean,
                                    narrow.predict(designs[0]),
                                    atol=1e-10)

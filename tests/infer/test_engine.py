@@ -1,8 +1,10 @@
 """InferenceEngine vs the seed ``TimingPredictor.predict`` path.
 
-The acceptance bar from the issue: engine predictions must match the
-autograd path numerically (atol 1e-10) — cold, warm, batched, subset,
-MC, and after a serialization round-trip."""
+Engine predictions must match the per-design training path: a
+one-design ``predict_many`` bit for bit (cold, warm, MC, uncertainty,
+uncached, and after a serialization round-trip), a fused multi-design
+batch to atol 1e-10 (the union graph's BLAS calls may sum in another
+order)."""
 
 import dataclasses
 
@@ -20,58 +22,46 @@ from repro.infer import (
 ATOL = 1e-10
 
 
+def predict_one(engine, design, **kwargs):
+    """The engine's answer for one design (a one-design batch)."""
+    return engine.predict_many([design], **kwargs)[design.name]
+
+
 class TestPredictEquivalence:
     def test_cold_and_warm_match_seed_path(self, model, designs,
                                            reference):
         engine = InferenceEngine(model)
         for design in designs:
-            cold = engine.predict(design)
-            warm = engine.predict(design)
-            np.testing.assert_allclose(cold, reference[design.name],
-                                       atol=ATOL)
+            cold = predict_one(engine, design).mean
+            warm = predict_one(engine, design).mean
+            np.testing.assert_array_equal(cold, reference[design.name])
             np.testing.assert_array_equal(cold, warm)
-
-    def test_endpoint_subset_matches(self, model, designs):
-        engine = InferenceEngine(model)
-        design = designs[0]
-        subset = np.array([0, 3, 1])
-        ref = model.predict(design, endpoint_subset=subset)
-        out = engine.predict(design, endpoint_subset=subset)
-        np.testing.assert_allclose(out, ref, atol=ATOL)
 
     def test_mc_sampling_matches_seed_path(self, model, designs):
         engine = InferenceEngine(model)
         design = designs[0]
         ref = model.predict(design, mc_samples=8, seed=7)
-        out = engine.predict(design, mc_samples=8, seed=7)
-        np.testing.assert_allclose(out, ref, atol=ATOL)
-
-    def test_non_transductive_matches(self, model, designs):
-        engine = InferenceEngine(model, transductive=False)
-        design = designs[0]
-        ref = model.predict(design, transductive=False)
-        out = engine.predict(design)
-        np.testing.assert_allclose(out, ref, atol=ATOL)
+        out = predict_one(engine, design, mc_samples=8, seed=7).mean
+        np.testing.assert_array_equal(out, ref)
 
     def test_uncertainty_matches_seed_path(self, model, designs):
         engine = InferenceEngine(model)
-        design = designs[1]
-        ref_mean, ref_std = model.predict_with_uncertainty(
-            design, mc_samples=16, seed=3)
-        mean, std = engine.predict_with_uncertainty(
-            design, mc_samples=16, seed=3)
-        np.testing.assert_allclose(mean, ref_mean, atol=ATOL)
-        np.testing.assert_allclose(std, ref_std, atol=ATOL)
+        for design in designs:
+            ref_mean, ref_std = model.predict_with_uncertainty(
+                design, mc_samples=16, seed=3)
+            out = predict_one(engine, design, mc_samples=16,
+                              with_uncertainty=True, seed=3)
+            np.testing.assert_array_equal(out.mean, ref_mean)
+            np.testing.assert_array_equal(out.std, ref_std)
 
     def test_cache_disabled_still_matches(self, model, designs,
                                           reference):
         engine = InferenceEngine(model, use_cache=False)
         for design in designs:
-            np.testing.assert_allclose(engine.predict(design),
-                                       reference[design.name],
-                                       atol=ATOL)
+            np.testing.assert_array_equal(predict_one(engine, design).mean,
+                                          reference[design.name])
         assert engine.cache_stats() == {"hits": 0, "misses": 0,
-                                        "entries": 0, "evictions": 0}
+                                        "entries": 0}
 
 
 class TestPredictMany:
@@ -117,7 +107,7 @@ class TestPredictMany:
     def test_partial_cache_mixes_hit_and_fused_miss(self, model,
                                                     designs, reference):
         engine = InferenceEngine(model)
-        engine.predict(designs[0])  # warm one design only
+        predict_one(engine, designs[0])  # warm one design only
         before = engine.cache_stats()
         out = engine.predict_many(designs)
         after = engine.cache_stats()
@@ -134,7 +124,7 @@ class TestCacheBehaviour:
                                         monkeypatch):
         engine = InferenceEngine(model)
         design = designs[0]
-        engine.predict(design)
+        predict_one(engine, design)
 
         # NOTE: patching an attribute of the model would change the
         # weight digest (the walk covers the module tree) and thus
@@ -146,18 +136,18 @@ class TestCacheBehaviour:
         import repro.infer.engine as engine_mod
 
         monkeypatch.setattr(engine_mod, "cnn_forward", boom)
-        engine.predict(design)  # served from cache
+        predict_one(engine, design)  # served from cache
         assert engine.cache_stats()["hits"] >= 1
 
     def test_weight_change_invalidates(self, fresh_model, designs):
         engine = InferenceEngine(fresh_model)
         design = designs[0]
-        before = engine.predict(design)
+        before = predict_one(engine, design).mean
         tensor = next(p for p in fresh_model.parameters())
         # repro-check: disable=tensor-data-mutation -- test simulates an external weight edit
         tensor.data += 0.05
         fresh_model.finalize_node_priors(designs)
-        after = engine.predict(design)
+        after = predict_one(engine, design).mean
         assert engine.cache_stats()["misses"] == 2
         assert not np.allclose(before, after)
         ref = fresh_model.predict(design)
@@ -165,9 +155,9 @@ class TestCacheBehaviour:
 
 
 class TestContentKeyedStructures:
-    """The weight-independent caches key on design *content*: a design
+    """The weight-independent cache keys on design *content*: a design
     rebuilt under the same (name, node) with different layout images
-    must get its own im2col columns and union batch, not the old
+    must get its own union batch and im2col columns, not the old
     design's."""
 
     @staticmethod
@@ -188,15 +178,6 @@ class TestContentKeyedStructures:
             np.testing.assert_allclose(out, expected, atol=ATOL)
         assert engine.stats()["structs"]["entries"] == 2
 
-    def test_predict_serves_the_rebuilt_design(self, model, designs):
-        engine = InferenceEngine(model, use_cache=False)
-        original = designs[0]
-        rebuilt = self.rebuilt(original)
-        engine.predict(original)
-        np.testing.assert_allclose(engine.predict(rebuilt),
-                                   model.predict(rebuilt), atol=ATOL)
-        assert engine.stats()["image_columns"]["entries"] == 2
-
 
 class TestSerialization:
     def test_round_trip_predictions_identical(self, model, designs,
@@ -207,7 +188,7 @@ class TestSerialization:
         assert weight_digest(loaded) == weight_digest(model)
         engine = InferenceEngine(loaded)
         for design in designs:
-            np.testing.assert_array_equal(engine.predict(design),
+            np.testing.assert_array_equal(predict_one(engine, design).mean,
                                           reference[design.name])
 
     def test_round_trip_preserves_priors_and_population(self, model,

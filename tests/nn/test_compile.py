@@ -161,16 +161,6 @@ def test_rebound_parameter_raises_replay_mismatch(rng):
         program.replay(arrays)
 
 
-def test_dropout_poisons_the_trace(rng):
-    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    with trace() as tape:
-        loss = F.dropout(x, 0.5, training=True,
-                         rng=np.random.default_rng(0)).sum()
-    assert tape.poison_reason is not None
-    with pytest.raises(CompileError):
-        CompiledStep(tape, loss)
-
-
 def test_non_scalar_root_rejected(rng):
     x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     with trace() as tape:

@@ -1,4 +1,4 @@
-"""Tests for softmax, convolution, pooling and regression losses."""
+"""Tests for log-softmax, convolution, pooling and the MSE loss."""
 
 import numpy as np
 import pytest
@@ -15,11 +15,6 @@ def rng():
 
 
 class TestSoftmax:
-    def test_softmax_sums_to_one(self, rng):
-        x = Tensor(rng.standard_normal((4, 7)))
-        out = F.softmax(x, axis=-1)
-        np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(4))
-
     def test_log_softmax_stable_large_values(self):
         x = Tensor(np.array([[1000.0, 1000.0]]))
         out = F.log_softmax(x)
@@ -40,39 +35,6 @@ class TestLosses:
     def test_mse_gradient(self, rng):
         y = rng.standard_normal(6)
         check_gradient(lambda t: F.mse_loss(t, Tensor(y)), (6,), rng)
-
-    def test_mae_gradient(self, rng):
-        y = rng.standard_normal(6) + 10.0  # keep away from the |.| kink
-        check_gradient(lambda t: F.mae_loss(t, Tensor(y)), (6,), rng)
-
-    def test_gaussian_nll_at_mle_is_entropy(self):
-        """At mu=y and sigma=1, NLL equals 0.5*log(2*pi)."""
-        y = Tensor(np.zeros(4))
-        pred = Tensor(np.zeros(4))
-        log_var = Tensor(np.zeros(4))
-        expected = 0.5 * np.log(2 * np.pi)
-        assert F.gaussian_nll(pred, y, log_var).item() == pytest.approx(expected)
-
-    def test_gaussian_nll_gradients(self, rng):
-        y = rng.standard_normal(5)
-
-        def on_pred(t):
-            return F.gaussian_nll(t, Tensor(y), Tensor(np.zeros(5)))
-
-        check_gradient(on_pred, (5,), rng)
-
-        mu = rng.standard_normal(5)
-
-        def on_logvar(t):
-            return F.gaussian_nll(Tensor(mu), Tensor(y), t)
-
-        check_gradient(on_logvar, (5,), rng)
-
-    def test_huber_quadratic_inside_linear_outside(self):
-        small = F.huber_loss(Tensor([0.5]), Tensor([0.0]), delta=1.0)
-        assert small.item() == pytest.approx(0.125)
-        big = F.huber_loss(Tensor([3.0]), Tensor([0.0]), delta=1.0)
-        assert big.item() == pytest.approx(0.5 + 2.0)
 
 
 class TestConv2d:
@@ -164,18 +126,3 @@ class TestPooling:
         out = F.global_avg_pool2d(Tensor(x))
         np.testing.assert_allclose(out.data, x.mean(axis=(2, 3)))
 
-
-class TestDropout:
-    def test_eval_mode_is_identity(self, rng):
-        x = Tensor(np.ones((4, 4)))
-        out = F.dropout(x, 0.5, rng, training=False)
-        np.testing.assert_allclose(out.data, x.data)
-
-    def test_training_scales_kept_units(self):
-        rng = np.random.default_rng(3)
-        x = Tensor(np.ones((200, 200)))
-        out = F.dropout(x, 0.5, rng, training=True)
-        kept = out.data[out.data > 0]
-        np.testing.assert_allclose(kept, 2.0)
-        # Kept fraction is about half.
-        assert abs((out.data > 0).mean() - 0.5) < 0.05

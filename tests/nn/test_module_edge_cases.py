@@ -51,7 +51,7 @@ class TestTensorEdgeCases:
     def test_softmax_gradient_rows_sum_to_zero(self):
         t = Tensor(np.random.default_rng(0).standard_normal((3, 5)),
                    requires_grad=True)
-        F.softmax(t, axis=1)[:, 0].sum().backward()
+        F.log_softmax(t, axis=1).exp()[:, 0].sum().backward()
         np.testing.assert_allclose(t.grad.sum(axis=1), 0.0, atol=1e-12)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam, Linear, Tensor
+from repro.nn import Adam, Linear, Tensor
 
 
 @pytest.fixture
@@ -34,26 +34,6 @@ def weights(layer):
 
 
 class TestStateDictRoundTrip:
-    def test_sgd_round_trip(self, rng):
-        layer, loss_step = make_problem()
-        opt = SGD(layer.parameters(), lr=0.05, momentum=0.9,
-                  weight_decay=1e-4)
-        for _ in range(3):
-            loss_step(opt)
-        state = opt.state_dict()
-        assert state["kind"] == "SGD"
-        assert state["momentum"] == 0.9
-        fresh = SGD(layer.parameters(), lr=0.001)
-        fresh.load_state_dict(state)
-        assert fresh.lr == 0.05
-        assert fresh.momentum == 0.9
-        assert fresh.weight_decay == 1e-4
-        for mine, theirs in zip(opt._velocity, fresh._velocity):
-            if mine is None:
-                assert theirs is None
-            else:
-                np.testing.assert_array_equal(mine, theirs)
-
     def test_adam_round_trip(self, rng):
         layer, loss_step = make_problem()
         opt = Adam(layer.parameters(), lr=3e-3, betas=(0.8, 0.95),
@@ -81,10 +61,10 @@ class TestStateDictRoundTrip:
 
     def test_kind_mismatch_rejected(self, rng):
         layer, _ = make_problem()
-        sgd = SGD(layer.parameters(), lr=0.1)
         adam = Adam(layer.parameters(), lr=0.1)
+        state = dict(adam.state_dict(), kind="SGD")
         with pytest.raises(ValueError, match="SGD"):
-            adam.load_state_dict(sgd.state_dict())
+            adam.load_state_dict(state)
 
     def test_shape_mismatch_rejected_before_mutation(self, rng):
         layer, loss_step = make_problem()
@@ -117,9 +97,8 @@ class TestStateDictRoundTrip:
 
 class TestResumedTrajectory:
     @pytest.mark.parametrize("make_opt", [
-        lambda params: SGD(params, lr=0.05, momentum=0.9),
         lambda params: Adam(params, lr=3e-3),
-    ], ids=["sgd-momentum", "adam"])
+    ], ids=["adam"])
     def test_resume_matches_uninterrupted(self, make_opt):
         """Snapshot after k steps + fresh optimizer + restore must land
         on exactly the uninterrupted weights (the checkpoint contract)."""

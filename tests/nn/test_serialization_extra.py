@@ -1,7 +1,6 @@
-"""Extra nn coverage: serialization of composite models, edge cases."""
+"""Extra nn coverage: state dicts of composite models, edge cases."""
 
 import numpy as np
-import pytest
 
 from repro.nn import (
     MLP,
@@ -10,8 +9,6 @@ from repro.nn import (
     Sequential,
     ReLU,
     Tensor,
-    load_module,
-    save_module,
 )
 
 
@@ -31,13 +28,11 @@ class TwoTower(Module):
 
 
 class TestCompositeSerialization:
-    def test_roundtrip_composite(self, tmp_path):
+    def test_roundtrip_composite(self):
         rng = np.random.default_rng(0)
         model = TwoTower(rng)
         clone = TwoTower(np.random.default_rng(99))
-        path = tmp_path / "tower.npz"
-        save_module(model, path)
-        load_module(clone, path)
+        clone.load_state_dict(model.state_dict())
         x = Tensor(rng.standard_normal((3, 4)))
         np.testing.assert_allclose(model(x).data, clone(x).data)
 
@@ -45,11 +40,6 @@ class TestCompositeSerialization:
         model = TwoTower(np.random.default_rng(0))
         names = [n for n, _ in model.named_parameters()]
         assert "gains.0" in names and "gains.1" in names
-
-    def test_parameter_count_matches(self):
-        model = TwoTower(np.random.default_rng(0))
-        expected = (4 * 8 + 8 + 8 * 2 + 2) + (4 * 4 + 4 + 4 * 2 + 2) + 4
-        assert model.num_parameters() == expected
 
     def test_save_excludes_frozen(self, tmp_path):
         """Frozen parameters disappear from the state dict by design."""

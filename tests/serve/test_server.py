@@ -14,13 +14,16 @@ import numpy as np
 import pytest
 
 from repro.infer import save_predictor, weight_digest
+from repro.model import TimingPredictor
 from repro.serve import (
+    ModelContainer,
     PredictionServer,
+    PredictionService,
     ServerConfig,
     ServingClient,
     ServingError,
 )
-from repro.serve.server import MAX_BODY_BYTES, warm_up
+from repro.serve.server import MAX_BODY_BYTES, MAX_MC_SAMPLES, warm_up
 
 ATOL = 1e-10
 
@@ -147,8 +150,7 @@ class TestErrors:
 
         config = ServerConfig(port=0, batch_window_ms=window)
         with PredictionServer(designs, model, config=config) as srv:
-            for attr in ("predict", "predict_many"):
-                monkeypatch.setattr(srv.container.engine, attr, boom)
+            monkeypatch.setattr(srv.container.engine, "predict_many", boom)
             with ServingClient(srv.host, srv.port) as c:
                 with pytest.raises(ServingError) as excinfo:
                     c.predict(designs[0].name)
@@ -156,6 +158,29 @@ class TestErrors:
         assert excinfo.value.status == 500
         assert "engine exploded" in str(excinfo.value)
         assert (stats["requests"], stats["errors"]) == (1, 1)
+
+    @pytest.mark.parametrize("fields, error", [
+        ({"mc_samples": -5}, "mc_samples"),
+        ({"mc_samples": MAX_MC_SAMPLES + 1, "uncertainty": True},
+         "mc_samples"),
+        ({"uncertainty": "false"}, "uncertainty"),
+        ({"mc_samples": float("inf")}, "integers"),
+    ], ids=["negative", "over-cap", "string-bool", "infinite"])
+    def test_bad_sampling_field_is_a_400(self, designs, model, fields,
+                                         error):
+        """A sampling field that is out of range or of the wrong type is
+        refused, not coerced, and the service keeps answering."""
+        service = PredictionService(designs, ModelContainer(model))
+        name = designs[0].name
+        try:
+            status, body = service.predict({"design": name, **fields})
+            after, answer = service.predict({"design": name})
+        finally:
+            service.close()
+        assert status == 400
+        assert error in body["error"]
+        assert after == 200
+        assert answer["design"] == name
 
     def test_reload_without_model_path_400(self, client):
         with pytest.raises(ServingError) as excinfo:
@@ -243,6 +268,32 @@ class TestHotReload:
         assert stats["model"]["failed_reloads"] == 1
         assert stats["model"]["last_reload_error"]
         assert stats["model"]["generation"] == 1
+        np.testing.assert_allclose(np.asarray(body["mean"]),
+                                   reference[designs[0].name],
+                                   atol=ATOL)
+
+    def test_reload_refuses_a_model_the_designs_cannot_run(
+            self, designs, model, model_file, reference):
+        """A valid checkpoint whose input width differs from the served
+        designs' is refused like a corrupt one: generation 1 keeps
+        serving."""
+        wide = TimingPredictor(designs[0].graph.features.shape[1] + 3,
+                               seed=1)
+        wide._population = model._population
+        wide._node_priors = model._node_priors
+        with self._serve(designs, model, model_file) as srv:
+            with ServingClient(srv.host, srv.port) as c:
+                save_predictor(wide, model_file)
+                with pytest.raises(ServingError) as excinfo:
+                    c.reload()
+                body = c.predict(designs[0].name)
+                stats = c.stats()
+        assert excinfo.value.status == 500
+        assert excinfo.value.body["error_type"] == "CheckpointError"
+        assert "input features" in str(excinfo.value)
+        assert stats["model"]["failed_reloads"] == 1
+        assert stats["model"]["generation"] == 1
+        assert body["generation"] == 1
         np.testing.assert_allclose(np.asarray(body["mean"]),
                                    reference[designs[0].name],
                                    atol=ATOL)
