@@ -15,9 +15,11 @@ and the other checks mechanical:
 - :mod:`repro.check.lint` — the file/waiver driver
   (``# repro-check: disable=<rule> -- justification``);
 - :mod:`repro.check.gradcheck` — the autograd contract auditor: every
-  op in :mod:`repro.nn.functional` plus the fused levelised-sweep node
-  is finite-difference checked and screened for NaN/inf and dtype
-  drift;
+  registry op, every op in :mod:`repro.nn.functional` and the K-node
+  alignment losses are finite-difference checked, screened for NaN/inf
+  and dtype drift, run under ``no_grad()``, and traced, compiled and
+  replayed against eager execution (where only view ops may share
+  memory with an input);
 - :mod:`repro.check.dataflow` — per-function CFG construction and a
   generic forward dataflow engine over the AST;
 - :mod:`repro.check.callgraph` — the package-wide import/call graph
@@ -25,9 +27,6 @@ and the other checks mechanical:
 - :mod:`repro.check.analyses` — the shipped whole-program analyses
   (RNG-stream discipline, parallel-safety, artifact atomicity,
   trace-safety), run by ``repro check --dataflow``;
-- :mod:`repro.check.contracts` — the static tensor-contract checker
-  validating recorded compile traces (shapes, dtypes, aliasing)
-  without executing a training step;
 - :mod:`repro.check.cli` — ``repro check`` / ``python -m repro.check``.
 """
 

@@ -5,8 +5,7 @@ Exit status is 0 only when every requested pass is clean; any finding
 lets CI and ``tests/check/test_self_clean.py`` gate on it.
 
 ``--dataflow`` additionally runs the whole-program analyses
-(:mod:`repro.check.analyses`) and the tensor-contract checker
-(:mod:`repro.check.contracts`) over the full package.  Because a
+(:mod:`repro.check.analyses`) over the full package.  Because a
 whole-program pass can surface long-accepted findings, the command
 supports a committed baseline (``check_baseline.json``):
 ``--write-baseline`` records the current findings, ``--diff-baseline``
@@ -166,9 +165,8 @@ def run_check(paths: Optional[Sequence] = None, fmt: str = "text",
         for name, description in META_RULES.items():
             emit(f"{name}: {description} (driver-emitted)")
         emit(f"gradcheck: finite-difference + NaN/dtype + no-grad "
-             f"graph audit over {len(CASES)} registered op cases")
-        emit("tensor-contract: static shape/dtype/aliasing validation "
-             "of recorded compile traces (--dataflow)")
+             f"graph + compiled-replay/aliasing audit over {len(CASES)} "
+             "registered op cases")
         return 0
 
     if paths and not _validate_paths(paths, do_dataflow, emit):
@@ -194,13 +192,10 @@ def run_check(paths: Optional[Sequence] = None, fmt: str = "text",
     if do_dataflow:
         from .analyses import run_program_analyses
         from .callgraph import Program
-        from .contracts import run_contract_checks
 
         program = Program.build(package_root(), "repro")
         raw_findings.extend(run_program_analyses(program))
-        raw_findings.extend(run_contract_checks())
-        active_rules |= set(PROGRAM_RULES) | {"tensor-contract",
-                                              "contract-coverage"}
+        active_rules |= set(PROGRAM_RULES)
         # Program findings can land in files the lint pass never saw
         # (e.g. lint was scoped to a subdirectory) — parse their
         # waivers so inline suppressions still apply.
@@ -259,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-gradcheck", action="store_true",
                         help="skip the autograd contract audit")
     parser.add_argument("--dataflow", action="store_true",
-                        help="run the whole-program analyses and the "
-                             "tensor-contract checker over the package")
+                        help="run the whole-program analyses over the "
+                             "package")
     parser.add_argument("--diff-baseline", action="store_true",
                         help="fail only on findings not recorded in the "
                              "baseline file")

@@ -17,8 +17,11 @@ Generalises the one-off finite-difference harness in
   (:func:`check_no_grad`): the output must carry no parents and no
   backward function — anything else is a graph leak on the serving
   path — and its values must be bit-identical to the grad-enabled
-  forward, which is the contract that licenses inference-only fast
-  paths such as the slice-maximum pooling kernel.
+  forward;
+- each case is traced, compiled and replayed (:func:`check_compiled`):
+  replays must equal eager execution bit for bit, before and after the
+  inputs change in place, and only view ops may share memory with an
+  input.
 
 Cases must be deterministic, so the finite-difference re-evaluations
 see the same function every time.
@@ -192,9 +195,9 @@ def check_no_grad(op_case: OpCase) -> List[str]:
     references, no backward function, ``requires_grad`` off — or every
     serving-path forward would pin its intermediates (a memory leak
     ``backward()`` never releases).  The values must also match the
-    grad-enabled forward bit for bit: that equality is what licenses
-    inference-only fast paths (e.g. the slice-maximum pooling kernel)
-    to diverge in *implementation* from the autograd op.
+    grad-enabled forward bit for bit: every op has one forward, and
+    ``no_grad()`` changes only whether a graph is recorded, never what
+    is computed.
     """
     problems: List[str] = []
     fn, inputs = op_case.build()
@@ -223,7 +226,7 @@ def check_no_grad(op_case: OpCase) -> List[str]:
         diff = float(np.max(np.abs(reference.data - out.data)))
         problems.append(
             f"no_grad forward deviates from the autograd forward "
-            f"(max |diff| = {diff:.3e}); fast paths must be "
+            f"(max |diff| = {diff:.3e}); the two must be "
             "bit-identical")
     return problems
 
@@ -242,7 +245,9 @@ def check_compiled(op_case: OpCase) -> List[str]:
     every input in place (the way the optimizer mutates parameters
     between steps) — and both the forward values and every input
     gradient must equal the eager run exactly.  A compile failure is a
-    finding.
+    finding, and so is a traced output that shares memory with one of
+    its inputs unless its op is a view op (``Op.alias``): the compiled
+    forward would write that op's result over its own operand.
     """
     from ..nn import compile as nc
 
@@ -264,6 +269,16 @@ def check_compiled(op_case: OpCase) -> List[str]:
                                   outputs={"out": out, "loss": loss})
     except nc.CompileError as exc:
         return [f"trace does not compile: {exc}"]
+    for entry in tape.entries:
+        if entry.op in OPS and OPS[entry.op].alias:
+            continue
+        shared = [i for i, parent in enumerate(entry.parents)
+                  if np.may_share_memory(entry.out.data, parent.data)]
+        if shared:
+            problems.append(
+                f"{entry.op} output shares memory with input(s) {shared} "
+                "but is not a view op; a replay would overwrite its own "
+                "operand")
 
     rng = np.random.default_rng(99)
     for replay in range(2):
@@ -336,31 +351,9 @@ def audit_coverage() -> List[Finding]:
     ]
 
 
-def audit_compile_coverage() -> List[Finding]:
-    """Every composite op must be classified by the compiled engine.
-
-    Registry ops compile by construction (the compiled step runs the
-    registry itself).  Every other audited op has to be listed in
-    ``COMPOSITE_OPS``, the record that it traces through primitives; an
-    unlisted op is a ``repro check`` failure, so how a new op compiles
-    is always a reviewed decision.
-    """
-    from ..nn import compile as nc
-
-    classified = set(OPS) | nc.COMPOSITE_OPS
-    return [
-        Finding("compile-coverage", path, 0,
-                f"op '{name}' is not enrolled with the compiled "
-                "execution engine: register it in repro.nn.ops.OPS, or "
-                "classify it in COMPOSITE_OPS")
-        for name, path in sorted(audited_ops().items())
-        if name not in classified
-    ]
-
-
 def run_gradcheck() -> List[Finding]:
     """Audit coverage and every registered case; empty list = clean."""
-    findings = audit_coverage() + audit_compile_coverage()
+    findings = audit_coverage()
     for op_case in CASES:
         for problem in check_case(op_case):
             findings.append(Finding(
@@ -479,6 +472,12 @@ def _sum_all_case():
 @case("max", "axis-1-tie-free")
 def _max_case():
     return (lambda x: x.max(axis=1)), {"x": _distinct(50, (3, 5))}
+
+
+@case("max", "axis-1-keepdims")
+def _max_keepdims_case():
+    return ((lambda x: x.max(axis=1, keepdims=True)),
+            {"x": _distinct(70, (3, 5))})
 
 
 @case("reshape", "2d-to-2d")

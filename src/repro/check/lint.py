@@ -157,8 +157,7 @@ def apply_waivers(findings: Iterable[Finding],
     # force the registration before deciding what is "unknown".
     from . import analyses  # noqa: F401  (populates PROGRAM_RULES)
 
-    known = (set(RULES) | set(META_RULES) | set(PROGRAM_RULES)
-             | {"tensor-contract", "contract-coverage"})
+    known = set(RULES) | set(META_RULES) | set(PROGRAM_RULES)
     accountable = active_rules | set(META_RULES)
     for path, waivers in waivers_by_path.items():
         for waiver in waivers.values():

@@ -559,8 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-gradcheck", action="store_true",
                    help="skip the autograd contract audit")
     p.add_argument("--dataflow", action="store_true",
-                   help="run the whole-program analyses and the "
-                        "tensor-contract checker over the package")
+                   help="run the whole-program analyses over the "
+                        "package")
     p.add_argument("--diff-baseline", action="store_true",
                    help="fail only on findings not in the baseline")
     p.add_argument("--write-baseline", action="store_true",

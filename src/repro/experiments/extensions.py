@@ -19,7 +19,6 @@ from ..flow import PnRFlow
 from ..model import TimingPredictor
 from ..train import OursTrainer, TrainConfig, r2_score
 from .datasets import ExperimentDataset, build_dataset, make_libraries
-from .table2 import OURS_CONFIG
 
 #: The reverse split: many 7nm designs, one 130nm design, 130nm tests.
 REVERSE_TRAIN = {
@@ -35,9 +34,7 @@ REVERSE_TEST = ("arm9", "chacha", "sha3")
 def run_reverse_transfer(seed: int = 0, steps: Optional[int] = None,
                          resolution: int = 32) -> Dict[str, float]:
     """Train 7nm -> 130nm and report per-design R^2 on 130nm tests."""
-    kwargs = dict(OURS_CONFIG)
-    if steps is not None:
-        kwargs["steps"] = steps
+    kwargs = {} if steps is None else {"steps": steps}
     libraries = make_libraries()
     vocab = GateVocabulary(list(libraries.values()))
     flow = PnRFlow(libraries, vocab=vocab, resolution=resolution,
@@ -70,9 +67,7 @@ def run_uncertainty_calibration(dataset: Optional[ExperimentDataset] = None,
     low-sigma predictions really are more accurate).
     """
     dataset = dataset or build_dataset()
-    kwargs = dict(OURS_CONFIG)
-    if steps is not None:
-        kwargs["steps"] = steps
+    kwargs = {} if steps is None else {"steps": steps}
     model = TimingPredictor(dataset.in_features, seed=seed)
     OursTrainer(model, dataset.train,
                 TrainConfig(seed=seed, **kwargs)).fit()

@@ -16,7 +16,6 @@ import numpy as np
 from ..model import TimingPredictor
 from ..train import OursTrainer, TrainConfig, r2_score, train_adv_only
 from .datasets import ExperimentDataset, build_dataset
-from .table2 import BASELINE_CONFIG, OURS_CONFIG
 
 
 def run_fig1(dataset: Optional[ExperimentDataset] = None, seed: int = 0,
@@ -26,18 +25,14 @@ def run_fig1(dataset: Optional[ExperimentDataset] = None, seed: int = 0,
     Returns ``{panel: {"truth": y, "pred": y_hat, "r2": ...}}``.
     """
     dataset = dataset or build_dataset()
-    base_kwargs = dict(BASELINE_CONFIG)
-    ours_kwargs = dict(OURS_CONFIG)
-    if steps is not None:
-        base_kwargs["steps"] = steps
-        ours_kwargs["steps"] = steps
+    kwargs = {} if steps is None else {"steps": steps}
 
     adv = train_adv_only(dataset.train, dataset.in_features,
-                         TrainConfig(seed=seed, **base_kwargs),
+                         TrainConfig(seed=seed, **kwargs),
                          model_seed=seed)
     ours = TimingPredictor(dataset.in_features, seed=seed)
     OursTrainer(ours, dataset.train,
-                TrainConfig(seed=seed, **ours_kwargs)).fit()
+                TrainConfig(seed=seed, **kwargs)).fit()
 
     panels: Dict[str, Dict[str, np.ndarray]] = {}
     for panel, predict in (("(a) 7nm only", adv.predict),

@@ -14,7 +14,6 @@ import numpy as np
 
 from ..train import TrainConfig, r2_score, train_ours
 from .datasets import ExperimentDataset, build_dataset
-from .table2 import OURS_CONFIG
 
 VARIANTS = ("DA only", "Bayesian only", "Full")
 
@@ -23,9 +22,7 @@ def run_fig8(dataset: Optional[ExperimentDataset] = None, seed: int = 0,
              steps: Optional[int] = None) -> List[Dict[str, object]]:
     """One row per variant: per-test-design R^2 plus the average."""
     dataset = dataset or build_dataset()
-    kwargs = dict(OURS_CONFIG)
-    if steps is not None:
-        kwargs["steps"] = steps
+    kwargs = {} if steps is None else {"steps": steps}
     flag_sets = {
         "DA only": dict(use_disentangle_align=True, use_bayesian=False),
         "Bayesian only": dict(use_disentangle_align=False,

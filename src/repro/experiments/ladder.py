@@ -27,7 +27,6 @@ from ..obs import NullRunLogger
 from ..techlib import DEFAULT_LADDER_NMS, NodeLadder
 from ..train import OursTrainer, TrainConfig, r2_score
 from .datasets import LadderDataset, build_ladder_dataset
-from .table2 import OURS_CONFIG
 
 __all__ = ["format_ladder_study", "run_ladder_study"]
 
@@ -78,9 +77,7 @@ def run_ladder_study(ladder: Optional[NodeLadder] = None,
         into its manifest and summary.  Defaults to a no-op logger.
     """
     logger = logger if logger is not None else NullRunLogger()
-    config_kwargs = dict(OURS_CONFIG)
-    if steps is not None:
-        config_kwargs["steps"] = steps
+    config_kwargs = {} if steps is None else {"steps": steps}
 
     if dataset is None:
         ladder = ladder if ladder is not None \

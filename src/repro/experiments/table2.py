@@ -25,13 +25,6 @@ from ..train import (
 )
 from .datasets import ExperimentDataset, build_dataset
 
-#: Training configuration used by the Table-2 experiments.  gamma1/gamma2
-#: are the paper's 10/100 rescaled for this reproduction's feature width
-#: (see EXPERIMENTS.md, "Hyper-parameter translation").
-OURS_CONFIG = dict(steps=150, lr=2e-3, gamma1=1.0, gamma2=30.0,
-                   kl_weight=1.0)
-BASELINE_CONFIG = dict(steps=150, lr=2e-3)
-
 STRATEGY_ORDER = (
     "DAC23-AdvOnly",
     "DAC23-SimpleMerge",
@@ -54,15 +47,15 @@ class Table2Row:
 def train_all_strategies(dataset: ExperimentDataset, seed: int = 0,
                          steps: Optional[int] = None
                          ) -> Dict[str, Callable]:
-    """Train every Table-2 model; returns ``{strategy: predict_fn}``."""
-    base_kwargs = dict(BASELINE_CONFIG)
-    ours_kwargs = dict(OURS_CONFIG)
-    if steps is not None:
-        base_kwargs["steps"] = steps
-        ours_kwargs["steps"] = steps
+    """Train every Table-2 model; returns ``{strategy: predict_fn}``.
+
+    Every model uses the :class:`TrainConfig` defaults; ``steps``, when
+    given, overrides the step count.
+    """
+    kwargs = {} if steps is None else {"steps": steps}
     predictors: Dict[str, Callable] = {}
     for name, train_fn in BASELINE_STRATEGIES.items():
-        cfg = TrainConfig(seed=seed, **base_kwargs)
+        cfg = TrainConfig(seed=seed, **kwargs)
         model = train_fn(dataset.train, dataset.in_features, cfg,
                          model_seed=seed)
         predictors[name] = (
@@ -70,7 +63,7 @@ def train_all_strategies(dataset: ExperimentDataset, seed: int = 0,
         )
     ours = TimingPredictor(dataset.in_features, seed=seed)
     OursTrainer(ours, dataset.train,
-                TrainConfig(seed=seed, **ours_kwargs)).fit()
+                TrainConfig(seed=seed, **kwargs)).fit()
     predictors["Ours"] = lambda d, m=ours: m.predict(d)
     return predictors
 

@@ -15,7 +15,6 @@ import numpy as np
 from ..model import TimingPredictor
 from ..train import OursTrainer, TrainConfig, r2_score
 from .datasets import ExperimentDataset, build_dataset
-from .table2 import OURS_CONFIG
 
 #: Nested 130nm subsets, in the paper's row order.
 SUBSETS: Tuple[Tuple[str, ...], ...] = (
@@ -31,9 +30,7 @@ def run_table3(dataset: Optional[ExperimentDataset] = None, seed: int = 0,
                ) -> List[Dict[str, object]]:
     """One row per 130nm subset: ``{"subset": ..., <design>: r2, ...}``."""
     dataset = dataset or build_dataset()
-    kwargs = dict(OURS_CONFIG)
-    if steps is not None:
-        kwargs["steps"] = steps
+    kwargs = {} if steps is None else {"steps": steps}
     rows: List[Dict[str, object]] = []
     for subset in SUBSETS:
         train = dataset.subset_train(subset)

@@ -216,8 +216,6 @@ def build_designs(names: Sequence[Tuple[str, str]],
                   scale: float = 1.0, resolution: int = 32, seed: int = 0,
                   workers: int = 1, use_cache: bool = True,
                   cache_dir: Union[str, Path, None] = None,
-                  libraries: Optional[Dict[str, TechLibrary]] = None,
-                  vocab: Optional[GateVocabulary] = None,
                   ladder: Optional[NodeLadder] = None,
                   retries: int = 2, retry_backoff: float = 0.5
                   ) -> List[DesignData]:
@@ -234,10 +232,6 @@ def build_designs(names: Sequence[Tuple[str, str]],
         When False neither reads nor writes the cache.
     cache_dir:
         Cache root override (default ``$REPRO_CACHE_DIR`` handling).
-    libraries / vocab:
-        Only used for serial builds; worker processes rebuild the
-        (deterministic) ladder libraries or two-node defaults
-        themselves.
     ladder:
         Build against this :class:`~repro.techlib.NodeLadder`'s
         libraries instead of the two-node defaults.  The ladder's
@@ -254,9 +248,8 @@ def build_designs(names: Sequence[Tuple[str, str]],
         attempt *k* (0-based) sleeps ``retry_backoff * 2**k`` seconds
         first.  ``0`` retries immediately.
     """
-    if ladder is not None and libraries is None:
-        libraries = ladder.libraries()
-    libs = libraries if libraries is not None else _default_libraries()
+    libs = ladder.libraries() if ladder is not None \
+        else _default_libraries()
     # Content key: the features of every design depend on the whole
     # library set (the gate one-hot spans the merged vocabulary), so
     # the cache keys on a digest of all of it, not just the node label.
@@ -296,8 +289,7 @@ def build_designs(names: Sequence[Tuple[str, str]],
     if misses_serial:
         from .pnr import PnRFlow
 
-        flow = PnRFlow(libs,
-                       vocab=vocab or GateVocabulary(list(libs.values())),
+        flow = PnRFlow(libs, vocab=GateVocabulary(list(libs.values())),
                        resolution=resolution, scale=scale, seed=seed)
         errors: List[Tuple[str, str, BaseException]] = []
         for i in misses_serial:

@@ -17,17 +17,19 @@ has not changed, and a separate prior-MLP forward per design.
   population-prior update is hoisted out of the per-design loop into
   one batched prior-MLP forward;
 - the CNN is the training model's own :class:`~repro.model.LayoutCNN`
-  forward under ``no_grad()`` (where max pooling takes its
-  slice-maximum path), and the *weight-independent* parts of a cold
+  forward under ``no_grad()``, running the registry ops training runs,
+  and the *weight-independent* parts of a cold
   extraction — the fused batch structure and the first conv layer's
   im2col columns of its stacked images, handed to ``F.conv2d`` as
   precomputed ``cols``, both functions of the immutable design data
   alone — are memoised per design set, so they survive weight updates
   that invalidate the feature cache.
 
-Numerics are the training path's: ``predict_many([design])`` matches
-``TimingPredictor.predict(design)`` to ~1e-10 (asserted by
-``tests/infer/test_engine.py`` and ``benchmarks/bench_inference.py``).
+Numerics are the training path's: ``predict_many([design])`` equals
+``TimingPredictor.predict(design)`` bit for bit, and a fused
+multi-design call matches it to 1e-10, since BLAS may sum the union
+graph's rows in another order (``tests/infer/test_engine.py``;
+``benchmarks/bench_inference.py`` asserts the 1e-10 bound).
 
 The engine is **thread-safe and resident-process-safe** (the contract
 ``repro.serve`` builds on, DESIGN.md §13):

@@ -68,8 +68,7 @@ from .tensor import Tensor
 
 __all__ = [
     "CompileError", "ReplayMismatch", "CompiledStep", "trace",
-    "step_input", "step_index", "KERNELS", "COMPOSITE_OPS", "TraceOp",
-    "tape_metadata",
+    "step_input", "step_index", "KERNELS",
 ]
 
 
@@ -138,86 +137,6 @@ def step_index(name: str, index: np.ndarray) -> np.ndarray:
 #: op name -> :class:`repro.nn.ops.Op`.  The compiled step runs the op
 #: registry itself: the same forward/backward functions eager runs.
 KERNELS: Dict[str, Op] = OPS
-#: Public ``repro.nn.functional`` ops that trace *through* primitives.
-COMPOSITE_OPS = frozenset({
-    "mse_loss", "global_avg_pool2d",
-    # K-node alignment losses (repro.model.losses): pure compositions
-    # of primitives, traced through like any other expression.
-    "node_contrastive_loss_multi", "cmd_loss_multi",
-})
-
-
-# ----------------------------------------------------------------------
-# Trace metadata (consumed by the static tensor-contract checker)
-# ----------------------------------------------------------------------
-class TraceOp:
-    """Shape/dtype metadata of one recorded op, detached from buffers.
-
-    The static contract checker (:mod:`repro.check.contracts`)
-    abstractly interprets a tape through these records — no replay, no
-    gradient step — so the record carries everything a shape/dtype
-    contract can talk about and nothing that keeps tensors alive.
-    ``aliases[i]`` is True when the recorded output buffer shares
-    memory with input ``i`` (views are expected to alias; anything
-    else doing so is a hazard the checker flags).
-    """
-
-    __slots__ = ("op", "out_shape", "out_dtype", "in_shapes", "in_dtypes",
-                 "attrs", "aliases", "index")
-
-    def __init__(self, op: str, out_shape, out_dtype, in_shapes,
-                 in_dtypes, attrs, aliases, index: int) -> None:
-        self.op = op
-        self.out_shape = tuple(out_shape)
-        self.out_dtype = np.dtype(out_dtype)
-        self.in_shapes = tuple(tuple(s) for s in in_shapes)
-        self.in_dtypes = tuple(np.dtype(d) for d in in_dtypes)
-        self.attrs = attrs
-        self.aliases = tuple(aliases)
-        self.index = index
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"TraceOp({self.op!r}, out={self.out_shape}"
-                f":{self.out_dtype}, ins={len(self.in_shapes)})")
-
-
-#: Raised by np.shares_memory when the exact overlap problem exceeds
-#: max_work; spelled np.TooHardError on older numpy.
-_TooHardError = getattr(getattr(np, "exceptions", np), "TooHardError",
-                        ValueError)
-
-
-def _shares(out: np.ndarray, parent: np.ndarray) -> bool:
-    try:
-        return bool(np.shares_memory(out, parent, max_work=10_000))
-    except _TooHardError:  # pragma: no cover - exact check too expensive
-        return bool(np.may_share_memory(out, parent))
-
-
-def tape_metadata(tape: Tape) -> List["TraceOp"]:
-    """Per-op shape/dtype records for a recorded tape.
-
-    This is the read-only export surface the whole-program checker
-    consumes: each entry's output/input shapes, dtypes, op attrs, and
-    whether the output buffer aliases an input buffer.
-    """
-    records: List[TraceOp] = []
-    for index, entry in enumerate(tape.entries):
-        if entry.op is None:
-            continue
-        out = entry.out.data
-        parents = [p.data for p in entry.parents]
-        records.append(TraceOp(
-            op=entry.op,
-            out_shape=out.shape,
-            out_dtype=out.dtype,
-            in_shapes=[p.shape for p in parents],
-            in_dtypes=[p.dtype for p in parents],
-            attrs=dict(entry.attrs),
-            aliases=[_shares(out, p) for p in parents],
-            index=index,
-        ))
-    return records
 
 
 # ----------------------------------------------------------------------

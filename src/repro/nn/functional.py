@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grad_mode import is_grad_enabled
-from .tensor import Tensor, _finish, apply, as_tensor
+from .tensor import Tensor, apply, as_tensor
 
 
 # ----------------------------------------------------------------------
@@ -70,27 +69,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor = None, stride: int = 1,
 
 def max_pool2d(x: Tensor, kernel: int = 2, stride: int = None) -> Tensor:
     """Max pooling on NCHW input with square window."""
-    stride = stride or kernel
-    if not is_grad_enabled():
-        # Forward-only fast path: the argmax / take_along_axis pass (and
-        # the window-flattening copy feeding it) exists solely to route
-        # gradients; a running elementwise maximum over the kernel-offset
-        # slices yields the same window maxima bit for bit at a fraction
-        # of the memory traffic.  No backward: gradients are off.
-        n, c, h, w = x.shape
-        oh = (h - kernel) // stride + 1
-        ow = (w - kernel) // stride + 1
-        out_data = None
-        for i in range(kernel):
-            for j in range(kernel):
-                part = x.data[:, :, i:i + stride * oh:stride,
-                              j:j + stride * ow:stride]
-                if out_data is None:
-                    out_data = part.copy()
-                else:
-                    np.maximum(out_data, part, out=out_data)
-        return _finish(out_data, (x,), None)
-    return apply("max_pool2d", (x,), {"kernel": kernel, "stride": stride})
+    return apply("max_pool2d", (x,),
+                 {"kernel": kernel, "stride": stride or kernel})
 
 
 def avg_pool2d(x: Tensor, kernel: int = 2, stride: int = None) -> Tensor:

@@ -21,7 +21,7 @@ All ops funnel through :meth:`Tensor._make` (via ``apply`` and
 everything composed from them in ``functional.py`` and ``layers.py``;
 any future op built on the same plumbing inherits it.
 ``repro check`` audits exactly that invariant (see
-:func:`repro.check.gradcheck.audit_no_grad`).
+:func:`repro.check.gradcheck.check_no_grad`).
 """
 
 from __future__ import annotations

@@ -13,10 +13,9 @@ holding two plain numpy functions:
   caller ignores gradients of inputs that require none).
 
 ``state`` is a dict the forward and backward of one node share: the
-forward leaves what the backward needs there (conv columns, pooling
-argmaxes), and both keep scratch buffers in it.  Both execution modes
-run these same functions, so they compute the same numbers by
-construction:
+forward leaves what the backward needs there (conv columns), and both
+keep scratch buffers in it.  Both execution modes run these same
+functions, so they compute the same numbers by construction:
 
 - **eager** — :func:`repro.nn.tensor.apply` runs ``forward`` with
   ``out=None`` and a fresh ``state``, and the node's backward closure
@@ -32,8 +31,9 @@ the traced buffer already is that live view.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -508,45 +508,61 @@ def _pool_hw(x: np.ndarray, attrs) -> Tuple[int, int]:
             (x.shape[3] - kernel) // stride + 1)
 
 
-def _max_pool2d(ins, attrs, out, state):
-    x = ins[0]
+def _offset_slices(a: np.ndarray, attrs) -> List[np.ndarray]:
+    """The pooling windows' cells of NCHW ``a``, one view per offset.
+
+    View ``(i, j)`` (row-major over the kernel) holds, for every
+    window, its cell at offset ``(i, j)``; it has the output's shape.
+    """
     kernel, stride = attrs["kernel"], attrs["stride"]
-    n, c = x.shape[:2]
-    oh, ow = _pool_hw(x, attrs)
-    # Flattened windows by per-offset block copies into contiguous
-    # planes (faster than copying the strided window view here).
-    win = _scratch(state, "windows", (n, c, oh, ow, kernel, kernel),
-                   x.dtype)
-    for i in range(kernel):
-        for j in range(kernel):
-            win[:, :, :, :, i, j] = x[:, :, i:i + stride * oh:stride,
-                                      j:j + stride * ow:stride]
-    flat = win.reshape(n, c, oh, ow, kernel * kernel)
-    arg = state["arg"] = np.argmax(flat, axis=-1, out=state.get("arg"))
-    return _into(out, np.take_along_axis(flat, arg[..., None],
-                                         axis=-1)[..., 0])
+    oh, ow = _pool_hw(a, attrs)
+    return [a[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+            for i in range(kernel) for j in range(kernel)]
+
+
+def _max_pool2d(ins, attrs, out, state):
+    """A running elementwise maximum over the kernel-offset slices."""
+    first, *rest = _offset_slices(ins[0], attrs)
+    if out is None:
+        out = first.copy()
+    else:
+        np.copyto(out, first)
+    for part in rest:
+        # Of two equal values np.maximum returns its second operand, so
+        # each window keeps the first of its maxima (0.0 vs -0.0).
+        np.maximum(part, out, out=out)
+    return out
 
 
 def _max_pool2d_grad(g, ins, out, attrs, need, state):
+    """Send each window's gradient to its first maximum, row-major.
+
+    That is the cell ``argmax`` over the flattened window picks, ties
+    included; a window holding NaN routes to its first NaN, as
+    ``argmax`` does.
+    """
     x = ins[0]
-    kernel, stride = attrs["kernel"], attrs["stride"]
-    n, c, h, w = x.shape
-    oh, ow = _pool_hw(x, attrs)
     g_x = _scratch(state, "g_x", x.shape, g.dtype, zero=True)
-    ki, kj = np.divmod(state["arg"], kernel)
-    if stride < kernel:
-        n_i, c_i, oh_i, ow_i = np.indices((n, c, oh, ow))
-        np.add.at(g_x, (n_i, c_i, oh_i * stride + ki, ow_i * stride + kj),
-                  g)
-    else:
-        # Non-overlapping windows: each input cell is the argmax of at
-        # most one window, so the scatter targets are unique and a flat
-        # fancy assignment replaces the slow np.add.at.
-        rows = np.arange(oh)[None, None, :, None] * stride + ki
-        cols = np.arange(ow)[None, None, None, :] * stride + kj
-        chan = (np.arange(n)[:, None, None, None] * c
-                + np.arange(c)[None, :, None, None])
-        g_x.ravel()[(chan * h + rows) * w + cols] = g
+    free = _scratch(state, "free", out.shape, np.bool_)
+    hit = _scratch(state, "hit", out.shape, np.bool_)
+    free.fill(True)
+    overlapping = attrs["stride"] < attrs["kernel"]
+    # NaN equals nothing: windows still free after the equality pass
+    # hold NaN, and the second pass claims their first NaN.
+    for match in (functools.partial(np.equal, out), np.isnan):
+        for part, g_part in zip(_offset_slices(x, attrs),
+                                _offset_slices(g_x, attrs)):
+            match(part, out=hit)
+            hit &= free
+            free ^= hit
+            if overlapping:
+                np.add(g_part, g, out=g_part, where=hit)
+            else:
+                # Each cell belongs to one window: assigning keeps a
+                # -0.0 gradient, which adding to the zeroed buffer loses.
+                np.copyto(g_part, g, where=hit)
+        if not free.any():
+            break
     return (g_x,)
 
 
@@ -564,15 +580,11 @@ def _avg_pool2d(ins, attrs, out, state):
 
 
 def _avg_pool2d_grad(g, ins, out, attrs, need, state):
-    x = ins[0]
-    kernel, stride = attrs["kernel"], attrs["stride"]
-    oh, ow = _pool_hw(x, attrs)
-    g_x = _scratch(state, "g_x", x.shape, g.dtype, zero=True)
+    kernel = attrs["kernel"]
+    g_x = _scratch(state, "g_x", ins[0].shape, g.dtype, zero=True)
     gg = g * (1.0 / (kernel * kernel))
-    for i in range(kernel):
-        for j in range(kernel):
-            g_x[:, :, i:i + stride * oh:stride,
-                j:j + stride * ow:stride] += gg
+    for g_part in _offset_slices(g_x, attrs):
+        g_part += gg
     return (g_x,)
 
 

@@ -2,8 +2,10 @@
 
 Concurrent single-design requests are the serving pattern, and the
 engine's cheapest shape for them is one fused ``predict_many`` call:
-one weight digest, one union-graph extraction for the cache misses,
-one batched prior-MLP forward.  The coalescer is the funnel that turns
+one weight digest for the cache lookup (and a second before a cold
+extraction's features are stored), one union-graph extraction for the
+cache misses, one batched prior-MLP forward.  The coalescer is the
+funnel that turns
 N handler threads into that shape:
 
 - :meth:`RequestCoalescer.submit` enqueues a request and blocks the

@@ -239,10 +239,12 @@ class PredictionService:
         if design is None:
             return 404, {"error": f"unknown design {name!r}",
                          "known": sorted(self.designs)}
-        try:
-            mc_samples = int(payload.get("mc_samples", 0))
-            seed = int(payload.get("seed", 0))
-        except (TypeError, ValueError, OverflowError):
+        mc_samples = payload.get("mc_samples", 0)
+        seed = payload.get("seed", 0)
+        # JSON integers only: a float, string or boolean is refused,
+        # never truncated or converted.
+        if not all(isinstance(value, int) and not isinstance(value, bool)
+                   for value in (mc_samples, seed)):
             return 400, {"error": "mc_samples/seed must be integers"}
         uncertainty = payload.get("uncertainty", False)
         if not isinstance(uncertainty, bool):

@@ -37,9 +37,11 @@ from .selection import CheckpointKeeper, HoldoutSelector
 class TrainConfig:
     """Hyper-parameters of the training loop.
 
-    ``gamma1``/``gamma2`` default to the paper's 10/100.  ``steps`` plays
-    the role of the paper's epochs (each step touches every design once);
-    defaults are sized for the scaled-down reproduction.
+    ``gamma1``/``gamma2`` default to 1/30: the paper's 10/100 rescaled
+    for this reproduction's feature width (EXPERIMENTS.md,
+    "Hyper-parameter translation").  ``steps`` plays the role of the
+    paper's epochs (each step touches every design once); defaults are
+    sized for the scaled-down reproduction.
     """
 
     steps: int = 150

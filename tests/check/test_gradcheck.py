@@ -7,13 +7,15 @@ from repro.check.gradcheck import (
     OpCase,
     audit_coverage,
     check_case,
+    check_compiled,
     check_no_grad,
     functional_ops,
     run_gradcheck,
 )
 from repro.nn import Tensor
 from repro.nn import functional as F
-from repro.nn.tensor import _finish
+from repro.nn.ops import OPS, Op
+from repro.nn.tensor import _finish, apply
 
 
 class TestDiscovery:
@@ -33,8 +35,6 @@ class TestDiscovery:
         assert any(c.op == "levelized_sweep" for c in CASES)
 
     def test_registry_op_without_case_fails_audit(self, monkeypatch):
-        from repro.nn.ops import OPS, Op
-
         monkeypatch.setitem(OPS, "frobnicate", Op(None, None))
         paths = [f.path for f in audit_coverage()]
         assert paths == ["repro.nn.ops.frobnicate"]
@@ -189,3 +189,45 @@ class TestHarness:
                 lambda grad, out: out._send(x, grad)), holder))
         check_case(case)
         np.testing.assert_array_equal(base, np.linspace(0.0, 1.0, 4))
+
+
+def _registry_case(monkeypatch, name, forward, backward):
+    """An :class:`OpCase` for a registry op added for this test only."""
+    monkeypatch.setitem(OPS, name, Op(forward, backward))
+    return OpCase(name, "unit",
+                  lambda: ((lambda x: apply(name, (x,))),
+                           {"x": np.linspace(-1.0, 1.0, 5)}))
+
+
+class TestCompiled:
+    def test_non_view_op_sharing_its_operand_is_caught(self, monkeypatch):
+        def passthrough(ins, attrs, out, state):
+            if out is None:
+                return ins[0]   # the operand itself, not a copy
+            np.copyto(out, ins[0])
+            return out
+
+        case = _registry_case(monkeypatch, "passthrough", passthrough,
+                              lambda g, ins, out, attrs, need, state: (g,))
+        assert check_case(case) == []
+        problems = check_compiled(case)
+        assert any("shares memory with input(s) [0]" in p
+                   for p in problems), problems
+
+    def test_state_kept_across_replays_is_caught(self, monkeypatch):
+        def memo_double(ins, attrs, out, state):
+            if "memo" not in state:
+                state["memo"] = ins[0] * 2.0
+            if out is None:
+                return state["memo"].copy()
+            np.copyto(out, state["memo"])
+            return out
+
+        case = _registry_case(
+            monkeypatch, "memo_double", memo_double,
+            lambda g, ins, out, attrs, need, state: (g * 2.0,))
+        assert check_case(case) == []
+        assert check_no_grad(case) == []
+        problems = check_compiled(case)
+        assert any(p.startswith("post-mutation replay forward deviates")
+                   for p in problems), problems

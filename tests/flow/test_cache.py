@@ -10,8 +10,8 @@ import pytest
 
 from repro.flow import FlowBuildError, FlowCache, build_designs, run_flow
 from repro.flow.cache import library_set_digest
-from repro.techlib import (make_asap7_library, make_sky130_library,
-                           scale_library)
+from repro.techlib import (NodeLadder, make_asap7_library,
+                           make_sky130_library, scale_library)
 from repro.util import get_timings, reset_timings
 
 NAMES = [("usbf_device", "7nm")]
@@ -139,6 +139,15 @@ class TestParallelBuild:
         for a, b in zip(serial, parallel):
             _assert_identical(a, b)
         _assert_identical(serial[0], fresh)
+        # Workers rebuild a ladder's libraries from its spec.
+        ladder = NodeLadder(node_nms=(130.0, 45.0, 7.0))
+        names = [("usbf_device", "45nm"), ("spiMaster", "7nm")]
+        serial = build_designs(names, resolution=16, use_cache=False,
+                               ladder=ladder)
+        parallel = build_designs(names, resolution=16, workers=2,
+                                 use_cache=False, ladder=ladder)
+        for a, b in zip(serial, parallel):
+            _assert_identical(a, b)
 
     def test_worker_timings_merge_into_parent(self):
         reset_timings()

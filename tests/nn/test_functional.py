@@ -110,6 +110,22 @@ class TestPooling:
         num = numeric_grad(lambda arr: float(fn(Tensor(arr)).data), x)
         np.testing.assert_allclose(t.grad, num, atol=1e-4)
 
+    @pytest.mark.parametrize("stride", [2, 1])
+    @pytest.mark.parametrize("window, first_max", [
+        ([[2.0, 2.0], [2.0, 2.0]], (0, 0)),
+        ([[1.0, 3.0], [3.0, 3.0]], (0, 1)),
+    ])
+    def test_max_pool_routes_ties_to_first_maximum(self, stride, window,
+                                                   first_max):
+        """A tied window sends its whole gradient to its first maximum
+        in row-major order, at both the non-overlapping and the
+        overlapping stride."""
+        t = Tensor(np.array(window).reshape(1, 1, 2, 2), requires_grad=True)
+        (F.max_pool2d(t, 2, stride) * 1.5).sum().backward()
+        expected = np.zeros((2, 2))
+        expected[first_max] = 1.5
+        np.testing.assert_array_equal(t.grad[0, 0], expected)
+
     def test_avg_pool_values(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)
         out = F.avg_pool2d(Tensor(x), kernel=2)

@@ -61,6 +61,12 @@ class TestForward:
         assert (6 / t).item() == 3.0
         assert (t ** 2).item() == 4.0
 
+    def test_where_matches_numpy(self, rng):
+        a, b = rng.standard_normal((3, 4)), rng.standard_normal(4)
+        cond = rng.random((3, 4)) > 0.5
+        np.testing.assert_array_equal(
+            where(cond, Tensor(a), Tensor(b)).data, np.where(cond, a, b))
+
     def test_reductions(self, rng):
         x = rng.standard_normal((3, 4))
         t = Tensor(x)

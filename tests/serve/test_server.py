@@ -165,7 +165,14 @@ class TestErrors:
          "mc_samples"),
         ({"uncertainty": "false"}, "uncertainty"),
         ({"mc_samples": float("inf")}, "integers"),
-    ], ids=["negative", "over-cap", "string-bool", "infinite"])
+        ({"mc_samples": True}, "integers"),
+        ({"mc_samples": 16.9}, "integers"),
+        ({"mc_samples": "16"}, "integers"),
+        ({"seed": 2.5}, "integers"),
+        ({"seed": True}, "integers"),
+    ], ids=["negative", "over-cap", "string-bool", "infinite",
+            "bool-samples", "float-samples", "string-samples",
+            "float-seed", "bool-seed"])
     def test_bad_sampling_field_is_a_400(self, designs, model, fields,
                                          error):
         """A sampling field that is out of range or of the wrong type is
