@@ -9,9 +9,12 @@ gradcheck is the oracle every op answers to; this package makes that
 and the other checks mechanical:
 
 - :mod:`repro.check.rules` — the pluggable registry of AST lint rules
-  enforcing repo invariants (stable digests instead of builtin
-  ``hash()``, seeded RNGs, no broad excepts, no mutable defaults, no
-  in-place ``Tensor.data`` mutation outside the audited whitelist);
+  enforcing repo invariants, one file at a time: stable digests instead
+  of builtin ``hash()``, seeded RNGs and a fixed RNG draw order, no
+  broad excepts, no mutable defaults, no in-place ``Tensor.data``
+  mutation outside the audited whitelist, nothing mutable handed to a
+  worker pool, atomic artifact writes, and no ``backward()`` under
+  ``no_grad()``;
 - :mod:`repro.check.lint` — the file/waiver driver
   (``# repro-check: disable=<rule> -- justification``);
 - :mod:`repro.check.gradcheck` — the autograd contract auditor: every
@@ -20,25 +23,16 @@ and the other checks mechanical:
   and dtype drift, run under ``no_grad()``, and traced, compiled and
   replayed against eager execution (where only view ops may share
   memory with an input);
-- :mod:`repro.check.dataflow` — per-function CFG construction and a
-  generic forward dataflow engine over the AST;
-- :mod:`repro.check.callgraph` — the package-wide import/call graph
-  the whole-program analyses propagate facts across;
-- :mod:`repro.check.analyses` — the shipped whole-program analyses
-  (RNG-stream discipline, parallel-safety, artifact atomicity,
-  trace-safety), run by ``repro check --dataflow``;
 - :mod:`repro.check.cli` — ``repro check`` / ``python -m repro.check``.
 """
 
 from .gradcheck import OpCase, check_case, run_gradcheck
 from .lint import lint_file, run_lint
-from .rules import (PROGRAM_RULES, RULES, Finding,
-                    TENSOR_DATA_WHITELIST)
+from .rules import RULES, TENSOR_DATA_WHITELIST, Finding
 
 __all__ = [
     "Finding",
     "OpCase",
-    "PROGRAM_RULES",
     "RULES",
     "TENSOR_DATA_WHITELIST",
     "check_case",

@@ -12,13 +12,7 @@ and the reason must survive next to the code.  A waiver without one
 suppresses nothing and is itself reported
 (``waiver-missing-justification``); a waiver that matches no finding is
 reported too (``unused-waiver``), so stale waivers cannot accumulate.
-
-The driver is split into a *collect* phase (run the rules, parse the
-waivers, apply nothing) and an *apply* phase
-(:func:`apply_waivers`), because waivers must be accounted against
-every rule family that ran — a waiver naming a ``--dataflow`` program
-rule is only "unused" when the dataflow analyses actually executed and
-still produced nothing on that line.
+An inline waiver is the only way to accept a finding.
 """
 
 from __future__ import annotations
@@ -29,9 +23,9 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from .rules import META_RULES, PROGRAM_RULES, RULES, FileContext, Finding
+from .rules import META_RULES, RULES, FileContext, Finding
 
 _WAIVER_RE = re.compile(
     r"repro-check:\s*disable=([A-Za-z0-9_-]+(?:\s*,\s*[A-Za-z0-9_-]+)*)"
@@ -85,61 +79,34 @@ def _parse_waivers(source: str, lines: Sequence[str]) -> Dict[int, Waiver]:
     return waivers
 
 
-def waivers_for_source(source: str) -> Dict[int, Waiver]:
-    """Parse waivers from source text (for files outside the lint set)."""
-    return _parse_waivers(source, source.splitlines() or [""])
-
-
-@dataclass
-class FileLint:
-    """The collect-phase result for one file: raw findings + waivers."""
-
-    display: str
-    findings: List[Finding]
-    waivers: Dict[int, Waiver] = field(default_factory=dict)
-
-
-def collect_file(path: Path, display_path: Optional[str] = None) -> FileLint:
-    """Run every registered lint rule over one file; apply no waivers."""
+def lint_file(path: Path, display_path: Optional[str] = None) -> List[Finding]:
+    """Run every registered rule over one file, applying its waivers."""
     display = display_path if display_path is not None else str(path)
     try:
         source = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        return FileLint(display, [Finding("syntax-error", display, 1,
-                                          f"unreadable: {exc}")])
+        return [Finding("syntax-error", display, 1, f"unreadable: {exc}")]
     try:
         tree = ast.parse(source, filename=str(path))
     except SyntaxError as exc:
-        return FileLint(display, [Finding("syntax-error", display,
-                                          exc.lineno or 1,
-                                          f"syntax error: {exc.msg}")])
+        return [Finding("syntax-error", display, exc.lineno or 1,
+                        f"syntax error: {exc.msg}")]
 
     lines = source.splitlines()
     ctx = FileContext(path=display,
                       module_path=str(path).replace("\\", "/"),
                       source=source, lines=lines, tree=tree)
-    waivers = _parse_waivers(source, lines)
-
-    findings: List[Finding] = []
-    for entry in RULES.values():
-        findings.extend(entry.check(ctx))
-    return FileLint(display, findings, waivers)
+    findings = [finding for entry in RULES.values()
+                for finding in entry.check(ctx)]
+    return _apply_waivers(findings, display, _parse_waivers(source, lines))
 
 
-def apply_waivers(findings: Iterable[Finding],
-                  waivers_by_path: Dict[str, Dict[int, Waiver]],
-                  active_rules: Set[str]) -> List[Finding]:
-    """Filter findings through waivers and report waiver bookkeeping.
-
-    ``active_rules`` is the set of rule names that actually executed in
-    this run.  An unused waiver is only reported when *every* rule it
-    names was active — a waiver for a dataflow rule must not be called
-    stale by a lint-only invocation that never gave it the chance to
-    suppress anything.
-    """
+def _apply_waivers(findings: Iterable[Finding], path: str,
+                   waivers: Dict[int, Waiver]) -> List[Finding]:
+    """Filter one file's findings through its waivers and report the
+    waiver bookkeeping."""
     kept: List[Finding] = []
     for finding in findings:
-        waivers = waivers_by_path.get(finding.path, {})
         waiver = waivers.get(finding.line)
         above = waivers.get(finding.line - 1)
         if above is not None and not above.own_line:
@@ -152,71 +119,50 @@ def apply_waivers(findings: Iterable[Finding],
         else:
             kept.append(finding)
 
-    # Program rules register when repro.check.analyses is imported; a
-    # lint-only run must still recognise their names in waivers, so
-    # force the registration before deciding what is "unknown".
-    from . import analyses  # noqa: F401  (populates PROGRAM_RULES)
-
-    known = set(RULES) | set(META_RULES) | set(PROGRAM_RULES)
-    accountable = active_rules | set(META_RULES)
-    for path, waivers in waivers_by_path.items():
-        for waiver in waivers.values():
-            for name in waiver.rules:
-                if name not in known:
-                    kept.append(Finding(
-                        "unknown-waiver-rule", path, waiver.line,
-                        f"waiver names unknown rule '{name}' "
-                        f"(see `repro check --list-rules`)",
-                    ))
-            if not waiver.justified:
+    known = set(RULES) | set(META_RULES)
+    for waiver in waivers.values():
+        for name in waiver.rules:
+            if name not in known:
                 kept.append(Finding(
-                    "waiver-missing-justification", path, waiver.line,
-                    "waiver has no justification; write `# repro-check: "
-                    "disable=<rule> -- <why this exception is safe>`",
+                    "unknown-waiver-rule", path, waiver.line,
+                    f"waiver names unknown rule '{name}' "
+                    f"(see `repro check --list-rules`)",
                 ))
-            elif not waiver.used and all(name in accountable
-                                         for name in waiver.rules):
-                kept.append(Finding(
-                    "unused-waiver", path, waiver.line,
-                    f"waiver for {','.join(waiver.rules)} suppresses "
-                    "nothing here; remove it",
-                ))
-    kept.sort(key=lambda f: (f.path, f.line, f.rule))
+        if not waiver.justified:
+            kept.append(Finding(
+                "waiver-missing-justification", path, waiver.line,
+                "waiver has no justification; write `# repro-check: "
+                "disable=<rule> -- <why this exception is safe>`",
+            ))
+        elif not waiver.used and all(name in known
+                                     for name in waiver.rules):
+            kept.append(Finding(
+                "unused-waiver", path, waiver.line,
+                f"waiver for {','.join(waiver.rules)} suppresses "
+                "nothing here; remove it",
+            ))
+    kept.sort(key=lambda f: (f.line, f.rule))
     return kept
 
 
-def lint_file(path: Path, display_path: Optional[str] = None) -> List[Finding]:
-    """Run every registered rule over one file, applying waivers."""
-    collected = collect_file(path, display_path)
-    return apply_waivers(collected.findings,
-                         {collected.display: collected.waivers},
-                         set(RULES))
-
-
-def _iter_py_files(target: Path) -> Iterable[Path]:
+def iter_py_files(target: Path) -> Iterable[Path]:
+    """The ``.py`` files a lint target names: itself, or those under it."""
     if target.is_dir():
         yield from sorted(target.rglob("*.py"))
     elif target.suffix == ".py":
         yield target
 
 
-def collect_paths(paths: Sequence) -> List[FileLint]:
-    """Collect-phase over every ``.py`` file under the given targets."""
-    results: List[FileLint] = []
+def run_lint(paths: Sequence) -> List[Finding]:
+    """Lint every ``.py`` file under the given files/directories."""
+    findings: List[Finding] = []
     cwd = Path.cwd()
     for target in paths:
-        for file_path in _iter_py_files(Path(target)):
+        for file_path in iter_py_files(Path(target)):
             try:
                 display = str(file_path.resolve().relative_to(cwd))
             except ValueError:
                 display = str(file_path)
-            results.append(collect_file(file_path, display))
-    return results
-
-
-def run_lint(paths: Sequence) -> List[Finding]:
-    """Lint every ``.py`` file under the given files/directories."""
-    collected = collect_paths(paths)
-    all_findings = [f for c in collected for f in c.findings]
-    waivers_by_path = {c.display: c.waivers for c in collected}
-    return apply_waivers(all_findings, waivers_by_path, set(RULES))
+            findings.extend(lint_file(file_path, display))
+    findings.sort(key=lambda f: (f.path, f.line, f.rule))
+    return findings

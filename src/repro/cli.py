@@ -392,10 +392,6 @@ def cmd_check(args) -> int:
     return run_check(paths=args.paths, fmt=args.format,
                      do_lint=not args.no_lint,
                      do_gradcheck=not args.no_gradcheck,
-                     do_dataflow=args.dataflow,
-                     diff_baseline=args.diff_baseline,
-                     write_baseline_file=args.write_baseline,
-                     baseline=args.baseline,
                      list_rules=args.list_rules)
 
 
@@ -558,15 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the static linter")
     p.add_argument("--no-gradcheck", action="store_true",
                    help="skip the autograd contract audit")
-    p.add_argument("--dataflow", action="store_true",
-                   help="run the whole-program analyses over the "
-                        "package")
-    p.add_argument("--diff-baseline", action="store_true",
-                   help="fail only on findings not in the baseline")
-    p.add_argument("--write-baseline", action="store_true",
-                   help="record the current findings as the baseline")
-    p.add_argument("--baseline", type=Path, default=None,
-                   help="baseline file (default: ./check_baseline.json)")
     p.add_argument("--list-rules", action="store_true",
                    help="print every lint rule with its description")
 

@@ -8,6 +8,28 @@ without duplicating flags.
 from __future__ import annotations
 
 import argparse
+import math
+
+from ..cli import _positive_int
+
+
+def _port(text: str) -> int:
+    """argparse type for a TCP port; 0 asks the OS for a free one."""
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"expected a port in 0-65535, got {value}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    """argparse type for a finite window or interval >= 0 (0 switches
+    it off)."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number >= 0, got {text}")
+    return value
 
 
 def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
@@ -19,15 +41,17 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--train-steps", type=int, default=150,
                         help="training steps when no --model is given")
     parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8000,
+    parser.add_argument("--port", type=_port, default=8000,
                         help="TCP port (0 picks a free one)")
-    parser.add_argument("--batch-window-ms", type=float, default=2.0,
+    parser.add_argument("--batch-window-ms", type=_non_negative_float,
+                        default=2.0,
                         help="how long the first request of a batch "
                              "waits for companions to coalesce "
                              "(0 disables coalescing)")
-    parser.add_argument("--max-batch", type=int, default=32,
+    parser.add_argument("--max-batch", type=_positive_int, default=32,
                         help="cap on requests fused into one sweep")
-    parser.add_argument("--poll-interval", type=float, default=0.0,
+    parser.add_argument("--poll-interval", type=_non_negative_float,
+                        default=0.0,
                         metavar="SECONDS",
                         help="check the --model file's mtime every N "
                              "seconds and hot-reload on change "

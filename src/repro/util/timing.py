@@ -10,10 +10,17 @@
         ...
 
 Every enter/exit pair adds one call and its elapsed seconds to the named
-accumulator.  The registry is a plain module-level dict (the repro stack
-is single-threaded); ``timing_report()`` renders it as a table sorted by
-total time so perf work can see where steps spend their time, and
+accumulator.  The registry is a plain module-level dict shared by every
+thread of the process; ``timing_report()`` renders it as a table sorted
+by total time so perf work can see where steps spend their time, and
 ``reset_timings()`` clears it between measurements.
+
+Training and the flow record from one thread, but ``repro serve`` does
+not: its handler threads (window 0) or its coalescer thread run the
+engine's ``timed`` blocks.  Updates take no lock.  Each is a few dict
+operations that CPython does not interleave between threads in
+practice, but the language does not promise that, so serve-side totals
+are not guaranteed exact.
 
 A single ``timed`` instance keeps its start times on a stack, so one
 shared instance (e.g. a module-level decorator applied to a recursive
@@ -76,7 +83,6 @@ def record(name: str, seconds: float) -> None:
     """Add one observation to the named accumulator."""
     entry = _REGISTRY.get(name)
     if entry is None:
-        # repro-check: disable=parallel-safety -- each process owns its registry; workers snapshot via get_timings and the parent folds them in with merge_timings
         entry = _REGISTRY[name] = {"calls": 0, "seconds": 0.0}
     entry["calls"] += 1
     entry["seconds"] += seconds
@@ -108,7 +114,6 @@ def merge_timings(timings: Mapping[str, Mapping[str, float]]) -> None:
 
 def reset_timings() -> None:
     """Clear every accumulator (start of a measurement window)."""
-    # repro-check: disable=parallel-safety -- clears this process's own registry; workers reset their private copy at task start by design
     _REGISTRY.clear()
 
 

@@ -2,20 +2,19 @@
 
 This is the self-enforcing half of the lint gate — any future PR that
 introduces a seeded RNG violation, a broad except, an unjustified
-waiver, an uncovered autograd op, or a new whole-program dataflow
-finding fails plain `pytest` here, not just the CI `repro check` step.
+waiver or an uncovered autograd op fails plain `pytest` here, not just
+the CI `repro check` step.
 """
 
-import json
 from pathlib import Path
+
+import pytest
 
 import repro
 from repro.check import run_gradcheck, run_lint
 from repro.check.cli import main
 
 PACKAGE_DIR = Path(repro.__file__).resolve().parent
-REPO_ROOT = PACKAGE_DIR.parent.parent
-BASELINE = REPO_ROOT / "check_baseline.json"
 
 
 def test_lint_clean_on_own_source():
@@ -48,69 +47,17 @@ def test_seeded_violation_flips_exit_status(tmp_path, capsys):
     assert "builtin-hash" in out and "unseeded-rng" in out
 
 
-# ----------------------------------------------------------------------
-# Whole-program dataflow gate
-# ----------------------------------------------------------------------
-def test_dataflow_self_clean_within_budget(capsys):
-    """Zero un-baselined whole-program findings, inside the 30s budget.
-
-    The wall time is read from the findings JSON itself (the analyzer
-    records it there), so the budget that CI enforces and the budget
-    this gate enforces are the same measurement.
-    """
-    status = main(["--dataflow", "--no-gradcheck", "--diff-baseline",
-                   "--baseline", str(BASELINE), "--format", "json"])
-    payload = json.loads(capsys.readouterr().out)
-    assert status == 0, payload["findings"]
-    assert payload["findings"] == []
-    assert payload["summary"]["ran"]["dataflow"] is True
-    assert payload["summary"]["elapsed_seconds"] < 30.0
-
-
-def test_nonexistent_path_is_a_usage_error(tmp_path, capsys):
-    status = main([str(tmp_path / "no_such_file.py")])
-    assert status == 2
-    assert "does not exist" in capsys.readouterr().out
-
-
-def test_dataflow_rejects_paths_outside_the_package(tmp_path, capsys):
-    outside = tmp_path / "elsewhere.py"
-    outside.write_text("x = 1\n")
-    status = main(["--dataflow", str(outside)])
+@pytest.mark.parametrize("target, message", [
+    ("no_such_file.py", "does not exist"),
+    ("README.md", "no Python file"),      # a file that is not Python
+    ("empty-dir", "no Python file"),      # a directory without one
+], ids=["missing", "not-python", "empty-dir"])
+def test_nonexistent_path_is_a_usage_error(tmp_path, capsys, target,
+                                           message):
+    """A path that yields no ``.py`` file is refused, not called clean."""
+    (tmp_path / "README.md").write_text("# not python\n")
+    (tmp_path / "empty-dir").mkdir()
+    status = main([str(tmp_path / target)])
     out = capsys.readouterr().out
     assert status == 2
-    assert "not part of the repro package" in out
-    # Without --dataflow the same path is lintable as before.
-    assert main([str(outside), "--no-gradcheck"]) == 0
-
-
-def test_baseline_write_then_diff_roundtrip(tmp_path, capsys):
-    """--write-baseline accepts current findings; --diff-baseline only
-    fails on findings that are new relative to it."""
-    bad = tmp_path / "legacy.py"
-    bad.write_text(
-        "def cache_key(name):\n"
-        "    return hash(name)\n"
-    )
-    baseline = tmp_path / "baseline.json"
-    assert main([str(bad), "--no-gradcheck", "--write-baseline",
-                 "--baseline", str(baseline)]) == 0
-    assert baseline.is_file()
-
-    # The accepted finding no longer fails the gate...
-    status = main([str(bad), "--no-gradcheck", "--diff-baseline",
-                   "--baseline", str(baseline)])
-    out = capsys.readouterr().out
-    assert status == 0
-    assert "baselined finding(s) suppressed" in out
-
-    # ...but a new violation in the same file still does.
-    bad.write_text(bad.read_text() +
-                   "def collect(x, acc=[]):\n"
-                   "    acc.append(x)\n"
-                   "    return acc\n")
-    status = main([str(bad), "--no-gradcheck", "--diff-baseline",
-                   "--baseline", str(baseline)])
-    out = capsys.readouterr().out
-    assert status == 1
-    assert "mutable-default" in out and "builtin-hash" not in out
+    assert message in out and "repro check: clean" not in out

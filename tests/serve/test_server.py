@@ -414,3 +414,45 @@ class TestConfigAndLifecycle:
             stats = srv.container.engine.cache_stats()
         assert warmed == len(designs)
         assert stats["entries"] == len(designs)
+
+
+class TestCommandLine:
+    """`repro serve` refuses bad numeric flags before any work."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--max-batch", "0"],
+        ["--max-batch", "-3"],
+        ["--port", "70000"],
+        ["--port", "-1"],
+        ["--batch-window-ms", "nan"],
+        ["--batch-window-ms", "-1"],
+        ["--batch-window-ms", "inf"],
+        ["--poll-interval", "-1"],
+        ["--poll-interval", "nan"],
+    ])
+    def test_bad_value_exits_2_before_building(self, argv, monkeypatch,
+                                               capsys):
+        import repro.experiments
+        from repro.serve.__main__ import main
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("build_dataset ran")
+
+        monkeypatch.setattr(repro.experiments, "build_dataset", no_build)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--train-steps", "2"])
+        assert exc.value.code == 2
+        assert argv[0] in capsys.readouterr().err
+
+    def test_zero_stays_valid(self):
+        import argparse
+
+        from repro.serve.__main__ import add_serve_arguments
+
+        parser = argparse.ArgumentParser()
+        add_serve_arguments(parser)
+        args = parser.parse_args(["--port", "0", "--batch-window-ms", "0",
+                                  "--poll-interval", "0",
+                                  "--max-batch", "1"])
+        assert (args.port, args.batch_window_ms, args.poll_interval,
+                args.max_batch) == (0, 0.0, 0.0, 1)
