@@ -3,8 +3,9 @@
 Exit status is 0 only when every requested pass is clean; any finding
 (or an unjustified/stale waiver) makes the command fail, which is what
 lets CI and ``tests/check/test_self_clean.py`` gate on it.  A path that
-does not exist or holds no ``.py`` file is a usage error (exit 2),
-reported before anything is checked.
+does not exist or holds no ``.py`` file, and a run with both passes
+switched off, are usage errors (exit 2), reported before anything is
+checked.
 """
 
 from __future__ import annotations
@@ -88,6 +89,10 @@ def run_check(paths: Optional[Sequence] = None, fmt: str = "text",
              "registered op cases")
         return 0
 
+    if not (do_lint or do_gradcheck):
+        emit("repro check: --no-lint and --no-gradcheck leave nothing "
+             "to check")
+        return 2
     if paths and not _validate_paths(paths, emit):
         return 2
 

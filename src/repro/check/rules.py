@@ -520,7 +520,7 @@ def _artifact_write(call: ast.Call) -> str:
 
 @rule("artifact-atomicity",
       "run artifacts (*.json / *.jsonl / *.npz) must be written via the "
-      "stage-then-os.replace pattern (atomic_savez / atomic helpers); a "
+      "stage-then-os.replace pattern (atomic_write / atomic_savez); a "
       "crash mid-write must not corrupt the artifact")
 def _artifact_atomicity(ctx: FileContext) -> Iterator[Finding]:
     for scope in ctx.scopes:
@@ -529,7 +529,7 @@ def _artifact_atomicity(ctx: FileContext) -> Iterator[Finding]:
                  if isinstance(n, ast.Call)]
         if any(_dotted(call.func) == "os.replace"
                or _dotted(call.func).rpartition(".")[2] in (
-                   "atomic_savez", "atomic_write_json")
+                   "atomic_savez", "atomic_write")
                or (isinstance(call.func, ast.Attribute)
                    and call.func.attr == "replace" and len(call.args) == 1
                    and not call.keywords)     # Path.replace(target)

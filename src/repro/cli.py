@@ -17,9 +17,25 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
+import importlib
+import sys
 from pathlib import Path
 
 import numpy as np
+
+#: Subcommands whose module parses its own arguments: ``repro NAME
+#: ARGS...`` runs ``MODULE.main(ARGS)``, as ``python -m MODULE ARGS...``
+#: does, so each has one argument surface and ``repro`` imports none of
+#: them to build its parser.
+DELEGATED = {
+    "check": ("repro.check.cli",
+              "repo-specific static lint + autograd audit"),
+    "experiments": ("repro.experiments.runner",
+                    "regenerate the paper's tables/figures"),
+    "serve": ("repro.serve.__main__",
+              "resident prediction server with request coalescing and "
+              "model hot-reload"),
+}
 
 
 def _positive_int(text: str) -> int:
@@ -306,9 +322,33 @@ def cmd_train(args) -> int:
     return 0
 
 
+def load_or_train(args, dataset):
+    """The model `predict` and `serve` run: ``--model`` loaded for the
+    dataset's input width (None, after printing why, if it is refused),
+    or a model trained for ``--train-steps``."""
+    if args.model:
+        from .infer import load_predictor
+        from .nn import CheckpointError
+
+        try:
+            return load_predictor(args.model,
+                                  in_features=dataset.in_features)
+        except CheckpointError as exc:
+            print(exc)
+            return None
+    from .model import TimingPredictor
+    from .train import OursTrainer, TrainConfig
+
+    print(f"no --model given; training for {args.train_steps} steps ...")
+    model = TimingPredictor(dataset.in_features, seed=args.seed)
+    OursTrainer(model, dataset.train,
+                TrainConfig(steps=args.train_steps, seed=args.seed)).fit()
+    return model
+
+
 def cmd_predict(args) -> int:
     from .experiments import build_dataset
-    from .infer import InferenceEngine, load_predictor
+    from .infer import InferenceEngine
     from .train import r2_score
     from .util import reset_timings, timing_report
 
@@ -324,24 +364,9 @@ def cmd_predict(args) -> int:
         print(f"unknown design {exc.args[0]!r}; choose from: {known}")
         return 1
 
-    if args.model:
-        model = load_predictor(args.model)
-        if model.init_config["in_features"] != dataset.in_features:
-            print(f"checkpoint expects {model.init_config['in_features']}"
-                  f" input features, dataset has {dataset.in_features}")
-            return 1
-    else:
-        from .model import TimingPredictor
-        from .train import OursTrainer, TrainConfig
-
-        print(f"no --model given; training for {args.train_steps} "
-              f"steps ...")
-        model = TimingPredictor(dataset.in_features, seed=args.seed)
-        trainer = OursTrainer(
-            model, dataset.train,
-            TrainConfig(steps=args.train_steps, seed=args.seed))
-        trainer.fit()
-
+    model = load_or_train(args, dataset)
+    if model is None:
+        return 1
     mc_samples = args.mc_samples
     if args.uncertainty and mc_samples <= 0:
         mc_samples = 16
@@ -369,12 +394,6 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    from .serve.__main__ import run_from_args
-
-    return run_from_args(args)
-
-
 def cmd_report_run(args) -> int:
     from .obs import render_run
 
@@ -383,23 +402,6 @@ def cmd_report_run(args) -> int:
         print(f"not a run directory: {run_dir}")
         return 1
     print(render_run(run_dir, diff_against=args.diff))
-    return 0
-
-
-def cmd_check(args) -> int:
-    from .check.cli import run_check
-
-    return run_check(paths=args.paths, fmt=args.format,
-                     do_lint=not args.no_lint,
-                     do_gradcheck=not args.no_gradcheck,
-                     list_rules=args.list_rules)
-
-
-def cmd_experiments(args) -> int:
-    from .experiments.runner import run_all
-
-    run_all(args.names or None, seed=args.seed, steps=args.steps,
-            workers=args.workers, use_cache=not args.no_cache)
     return 0
 
 
@@ -531,41 +533,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", action="store_true",
                    help="print per-phase timing totals")
 
-    p = sub.add_parser("serve",
-                       help="resident prediction server with request "
-                            "coalescing and model hot-reload")
-    from .serve.__main__ import add_serve_arguments
-
-    add_serve_arguments(p)
-
     p = sub.add_parser("report-run",
                        help="render a training run's telemetry")
     p.add_argument("run_dir", help="run directory written by `train`")
     p.add_argument("--diff", default=None, metavar="OTHER_RUN",
                    help="also diff the manifest against another run dir")
 
-    p = sub.add_parser("check",
-                       help="repo-specific static lint + autograd audit")
-    p.add_argument("paths", nargs="*",
-                   help="files/directories to lint "
-                        "(default: the repro package source)")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--no-lint", action="store_true",
-                   help="skip the static linter")
-    p.add_argument("--no-gradcheck", action="store_true",
-                   help="skip the autograd contract audit")
-    p.add_argument("--list-rules", action="store_true",
-                   help="print every lint rule with its description")
-
-    p = sub.add_parser("experiments",
-                       help="regenerate the paper's tables/figures")
-    p.add_argument("names", nargs="*")
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="processes for cold dataset builds")
-    p.add_argument("--no-cache", action="store_true",
-                   help="bypass the on-disk design cache")
+    # Listed for `repro --help` only: main() hands their arguments to
+    # the module's own parser.
+    for name, (_, text) in DELEGATED.items():
+        sub.add_parser(name, help=text, add_help=False)
 
     p = sub.add_parser("ladder",
                        help="K-node transfer study over a synthetic "
@@ -604,7 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 COMMANDS = {
-    "check": cmd_check,
     "libs": cmd_libs,
     "report-run": cmd_report_run,
     "flow": cmd_flow,
@@ -612,12 +588,14 @@ COMMANDS = {
     "train": cmd_train,
     "ladder": cmd_ladder,
     "predict": cmd_predict,
-    "serve": cmd_serve,
-    "experiments": cmd_experiments,
 }
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in DELEGATED:
+        module = importlib.import_module(DELEGATED[argv[0]][0])
+        return module.main(argv[1:])
     args = build_parser().parse_args(argv)
     return COMMANDS[args.command](args)
 

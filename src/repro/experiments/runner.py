@@ -64,12 +64,24 @@ def run_all(names=None, seed: int = 0, steps: Optional[int] = None,
         print(fmt(result), file=stream)
 
 
+def _experiment_name(text: str) -> str:
+    """argparse type for one experiment name.  (``choices=`` would
+    also refuse the empty default of ``nargs="*"``.)"""
+    names = list(EXPERIMENTS) + ["reverse"]
+    if text not in names:
+        raise argparse.ArgumentTypeError(
+            f"unknown experiment {text!r} (choose from "
+            f"{', '.join(names)})")
+    return text
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
+        prog="repro experiments",
         description="Regenerate the paper's tables and figures."
     )
-    parser.add_argument("experiments", nargs="*",
-                        choices=list(EXPERIMENTS) + ["reverse"],
+    parser.add_argument("experiments", nargs="*", type=_experiment_name,
+                        metavar="NAME",
                         help="subset to run (default: all)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--steps", type=int, default=None,

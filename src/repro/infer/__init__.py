@@ -10,7 +10,7 @@ See DESIGN.md §9 "Inference architecture":
   checkpoints carrying weights *and* the finalised node priors.
 """
 
-from .cache import BoundedLRU, FeatureCache, named_tensors, weight_digest
+from .cache import BoundedLRU, FeatureCache, weight_digest
 from .engine import InferenceEngine, Prediction
 from .serialization import load_predictor, save_predictor
 
@@ -20,7 +20,6 @@ __all__ = [
     "InferenceEngine",
     "Prediction",
     "load_predictor",
-    "named_tensors",
     "save_predictor",
     "weight_digest",
 ]

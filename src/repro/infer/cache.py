@@ -11,7 +11,8 @@ an ablation preset writing ``.data`` directly — changes the digest, so
 stale features can never be served; no explicit invalidation hook is
 needed (or trusted).
 
-The digest walks *all* tensor attributes, not just trainable ones:
+The digest walks *all* tensor attributes
+(:meth:`~repro.nn.Module.named_tensors`), not just trainable ones:
 ablations freeze parameters by flipping ``requires_grad`` off, and a
 later ``.data`` write to a frozen tensor must still invalidate.
 Digesting the full parameter set costs one pass over ~10^5 floats
@@ -31,40 +32,17 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Iterator, Optional, Tuple
+from typing import Any, Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
-from ..nn import Module, Tensor
+from ..nn import Module
 
-__all__ = ["BoundedLRU", "FeatureCache", "design_key", "named_tensors",
-           "weight_digest"]
+__all__ = ["BoundedLRU", "FeatureCache", "design_key", "weight_digest"]
 
 #: Cached value: ``(u, u_n, u_d)`` numpy arrays over a design's full
 #: endpoint set, detached from any autograd graph.
 FeatureTriple = Tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def named_tensors(module: Module, prefix: str = ""
-                  ) -> Iterator[Tuple[str, Tensor]]:
-    """Yield every tensor attribute of the module tree, frozen or not.
-
-    Like :meth:`Module.named_parameters` but without the
-    ``requires_grad`` filter, so frozen (ablation-pinned) tensors are
-    still part of the digest and of saved checkpoints.
-    """
-    for name, value in vars(module).items():
-        full = f"{prefix}{name}"
-        if isinstance(value, Tensor):
-            yield full, value
-        elif isinstance(value, Module):
-            yield from named_tensors(value, prefix=f"{full}.")
-        elif isinstance(value, (list, tuple)):
-            for i, item in enumerate(value):
-                if isinstance(item, Module):
-                    yield from named_tensors(item, prefix=f"{full}.{i}.")
-                elif isinstance(item, Tensor):
-                    yield f"{full}.{i}", item
 
 
 def weight_digest(model: Module) -> str:
@@ -74,7 +52,7 @@ def weight_digest(model: Module) -> str:
     wholesale parameter change produces a different digest.
     """
     h = hashlib.blake2b(digest_size=16)
-    for name, tensor in named_tensors(model):
+    for name, tensor in model.named_tensors():
         h.update(name.encode("utf-8"))
         data = np.ascontiguousarray(tensor.data)
         h.update(str(data.shape).encode("ascii"))

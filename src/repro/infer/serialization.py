@@ -1,6 +1,6 @@
 """Checkpointing a *trained* predictor for serving.
 
-``repro.nn.serialization`` round-trips a module's trainable parameters,
+``Module.state_dict`` round-trips a module's trainable parameters,
 but a deployable :class:`~repro.model.TimingPredictor` is more than its
 weights: inference (Equation 7) reads the finalised node-population
 statistics and the per-node prior Gaussians that
@@ -16,24 +16,25 @@ and renames it into place (see
 never leave a truncated model file, and the checkpoint lands at
 *exactly* the requested path — numpy's silent ``.npz`` suffix append
 (saving to ``model`` producing ``model.npz``) no longer applies.
-:func:`load_predictor` stages every archive entry and validates the
-full set *before* touching a model, raising one typed
-:class:`~repro.nn.CheckpointError` naming the offending key; a
-checkpoint that fails mid-load cannot yield a half-mutated predictor.
+:func:`load_predictor` takes the one restore path of
+:mod:`repro.nn.serialization`: it stages every archive entry and
+checks every tensor's name and shape *before* touching a model,
+raising one typed :class:`~repro.nn.CheckpointError` naming the
+offending key; a checkpoint that fails mid-load cannot yield a
+half-mutated predictor.
 """
 
 from __future__ import annotations
 
 import json
-import zipfile
 from pathlib import Path
-from typing import Dict, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
 from ..model import TimingPredictor
-from ..nn.serialization import CheckpointError, atomic_savez
-from .cache import named_tensors
+from ..nn.serialization import (CheckpointError, atomic_savez,
+                                check_tensor_set, read_archive)
 
 __all__ = ["CheckpointError", "load_predictor", "save_predictor"]
 
@@ -68,7 +69,7 @@ def save_predictor(model: TimingPredictor,
         "pop::ud_sum": population["ud_sum"],
         "pop::ud_count": np.array(population["ud_count"]),
     }
-    for name, tensor in named_tensors(model):
+    for name, tensor in model.named_tensors():
         arrays[f"param::{name}"] = tensor.data
     for node, value in population["un_sum"].items():
         arrays[f"pop::un_sum::{node}"] = value
@@ -92,81 +93,51 @@ def _resolve_checkpoint_path(path: Union[str, Path]) -> Path:
     return path
 
 
-def load_predictor(path: Union[str, Path]) -> TimingPredictor:
+def load_predictor(path: Union[str, Path], *,
+                   in_features: Optional[int] = None) -> TimingPredictor:
     """Rebuild a serving-ready predictor saved by :func:`save_predictor`.
+
+    ``in_features``, when given, is the input width of the designs the
+    predictor is for; a checkpoint of another width is refused from
+    its ``meta`` alone, before any model is built.
 
     Raises
     ------
     CheckpointError
-        If the archive is unreadable, from an unsupported version, or
-        missing/mismatching any required key — diagnosed *before* the
-        returned model exists, so no half-loaded predictor can escape.
+        If the archive is unreadable, from an unsupported version, of
+        the wrong input width, or missing/mismatching any required key
+        — diagnosed *before* the returned model exists, so no
+        half-loaded predictor can escape.
     """
-    path = _resolve_checkpoint_path(path)
-    try:
-        with np.load(str(path), allow_pickle=False) as archive:
-            staged = {key: archive[key] for key in archive.files}
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-        raise CheckpointError(
-            f"unreadable predictor checkpoint {path}: {exc}") from exc
-
-    def require(key: str) -> np.ndarray:
-        if key not in staged:
-            raise CheckpointError(
-                f"predictor checkpoint {path} missing key {key!r}")
-        return staged[key]
-
-    try:
-        meta = json.loads(str(require("meta")))
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(
-            f"predictor checkpoint {path} has corrupt 'meta' JSON: "
-            f"{exc}") from exc
-    if meta.get("format_version") != _FORMAT_VERSION:
-        raise CheckpointError(
-            f"unsupported predictor checkpoint version "
-            f"{meta.get('format_version')!r} in {path}"
-        )
+    archive = read_archive(_resolve_checkpoint_path(path),
+                           "predictor checkpoint", _FORMAT_VERSION)
+    init_config = archive.meta_field("init_config")
+    wanted = init_config.get("in_features")
+    if in_features is not None and wanted != in_features:
+        raise archive.error(
+            f"expects {wanted} input features, the designs have "
+            f"{in_features}")
 
     # Stage the serving state fully before any model is built, so a
     # missing key can never abandon a partially populated predictor.
+    un_sum = archive.section("pop::un_sum::")
     population = {
-        "ud_sum": require("pop::ud_sum"),
-        "ud_count": float(require("pop::ud_count")),
-        "un_sum": {}, "un_count": {},
+        "ud_sum": archive.require("pop::ud_sum"),
+        "ud_count": float(archive.require("pop::ud_count")),
+        "un_sum": un_sum,
+        "un_count": {node: float(archive.require(f"pop::un_count::{node}"))
+                     for node in un_sum},
     }
-    priors = {}
-    for key in sorted(staged):
-        if key.startswith("pop::un_sum::"):
-            node = key[len("pop::un_sum::"):]
-            population["un_sum"][node] = staged[key]
-            population["un_count"][node] = \
-                float(require(f"pop::un_count::{node}"))
-        elif key.startswith("prior::mu::"):
-            node = key[len("prior::mu::"):]
-            priors[node] = (staged[key],
-                            require(f"prior::log_var::{node}"))
+    priors = {node: (mu, archive.require(f"prior::log_var::{node}"))
+              for node, mu in archive.section("prior::mu::").items()}
 
-    model = TimingPredictor(**meta["init_config"])
-    tensors = dict(named_tensors(model))
-    for key in sorted(staged):
-        if not key.startswith("param::"):
-            continue
-        name = key[len("param::"):]
-        if name not in tensors:
-            raise CheckpointError(
-                f"predictor checkpoint {path} parameter {name!r} does "
-                "not exist in the rebuilt model")
-        value = staged[key]
-        if tensors[name].data.shape != value.shape:
-            raise CheckpointError(
-                f"predictor checkpoint {path} key {name!r} has shape "
-                f"{value.shape}, model expects {tensors[name].data.shape}"
-            )
-    for key, value in staged.items():
-        if key.startswith("param::"):
-            # repro-check: disable=tensor-data-mutation -- checkpoint load writes leaf tensors before any graph exists
-            tensors[key[len("param::"):]].data[...] = value
+    model = TimingPredictor(**init_config)
+    tensors = dict(model.named_tensors())
+    params = archive.section("param::")
+    check_tensor_set(tensors, params, "param::", archive.source)
+    for name, value in params.items():
+        # repro-check: disable=tensor-data-mutation -- checkpoint load writes leaf tensors before any graph exists
+        tensors[name].data[...] = value
     model._population = population
     model._node_priors = priors
     return model

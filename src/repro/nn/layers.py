@@ -14,6 +14,7 @@ import numpy as np
 
 from . import functional as F
 from . import init
+from .serialization import check_tensor_set
 from .tensor import Tensor
 
 
@@ -32,20 +33,31 @@ class Module:
         raise NotImplementedError
 
     # -- parameter handling ------------------------------------------------
-    def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Tensor]]:
-        """Yield (dotted_name, parameter) pairs, depth first."""
+    def named_tensors(self, prefix: str = "") -> Iterator[Tuple[str, Tensor]]:
+        """Yield (dotted_name, tensor) for every tensor attribute of the
+        module tree, depth first, frozen ones included.
+
+        Frozen (ablation-pinned) tensors are part of the weight digest
+        and of saved checkpoints, so this is the one walker;
+        :meth:`named_parameters` filters it.
+        """
         for name, value in vars(self).items():
             full = f"{prefix}{name}"
-            if isinstance(value, Tensor) and value.requires_grad:
+            if isinstance(value, Tensor):
                 yield full, value
             elif isinstance(value, Module):
-                yield from value.named_parameters(prefix=f"{full}.")
+                yield from value.named_tensors(prefix=f"{full}.")
             elif isinstance(value, (list, tuple)):
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
-                        yield from item.named_parameters(prefix=f"{full}.{i}.")
-                    elif isinstance(item, Tensor) and item.requires_grad:
+                        yield from item.named_tensors(prefix=f"{full}.{i}.")
+                    elif isinstance(item, Tensor):
                         yield f"{full}.{i}", item
+
+    def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Tensor]]:
+        """Yield (dotted_name, parameter) for every trainable tensor."""
+        return ((name, t) for name, t in self.named_tensors(prefix)
+                if t.requires_grad)
 
     def parameters(self) -> List[Tensor]:
         """Return all trainable parameters of the module tree."""
@@ -62,21 +74,11 @@ class Module:
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Load parameter values in place; shapes must match exactly."""
+        """Load parameter values in place; names and shapes must match
+        exactly (``KeyError`` / ``ValueError`` before any write)."""
         params = dict(self.named_parameters())
-        missing = set(params) - set(state)
-        unexpected = set(state) - set(params)
-        if missing or unexpected:
-            raise KeyError(
-                f"state dict mismatch: missing={sorted(missing)}, "
-                f"unexpected={sorted(unexpected)}"
-            )
+        check_tensor_set(params, state)
         for name, value in state.items():
-            if params[name].data.shape != value.shape:
-                raise ValueError(
-                    f"shape mismatch for {name}: "
-                    f"{params[name].data.shape} vs {value.shape}"
-                )
             # repro-check: disable=tensor-data-mutation -- checkpoint load writes leaf parameters between steps
             params[name].data[...] = value
 

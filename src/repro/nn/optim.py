@@ -137,11 +137,11 @@ class Adam(Optimizer):
         super().load_state_dict(state)
         m = self._checked_buffers(state, "m")
         v = self._checked_buffers(state, "v")
-        self.lr = float(state["lr"])
-        self.beta1 = float(state["beta1"])
-        self.beta2 = float(state["beta2"])
-        self.eps = float(state["eps"])
-        self.weight_decay = float(state["weight_decay"])
-        self._t = int(state["t"])
-        self._m = m
-        self._v = v
+        # Read every scalar before the first assignment: a missing one
+        # raises with nothing written.
+        scalars = [float(state[key]) for key in
+                   ("lr", "beta1", "beta2", "eps", "weight_decay")]
+        t = int(state["t"])
+        self.lr, self.beta1, self.beta2, self.eps, self.weight_decay = \
+            scalars
+        self._t, self._m, self._v = t, m, v

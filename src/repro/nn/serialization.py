@@ -1,59 +1,149 @@
-"""Crash-safe ``.npz`` writes and the checkpoint error type.
+"""Crash-safe artifact writes and the one checkpoint restore path.
 
-Every archive writer (design caches, the trainer's resume checkpoints
-and the serving checkpoints of :mod:`repro.infer.serialization`) goes
-through :func:`atomic_savez`, which stages the archive in a temporary
-file and ``os.replace``-renames it over the target.  A crash (or a
-full disk, or a SIGKILL) mid-save therefore never leaves a truncated
-archive at the destination path — the old file, if any, survives
-intact.  The rename also pins the final name exactly:
-``np.savez_compressed`` silently appends ``.npz`` when the target lacks
-the suffix, so saving to ``model`` used to produce ``model.npz`` and
-break any caller that later opened ``model``.
+Every artifact a kill could tear — design caches, training and serving
+checkpoints, a run's ``manifest.json``/``summary.json`` and rewritten
+``steps.jsonl`` — is written by :func:`atomic_write`: staged next to
+the target, ``os.replace``-renamed over it, and the stage file removed
+on any failure, so neither a truncated artifact nor a stage file is
+left behind.  :func:`atomic_savez` also pins the final name:
+``np.savez_compressed`` silently appends ``.npz`` to a target without
+it.
+
+Every checkpoint load stages its archive with :func:`read_archive`
+(every entry read, ``meta`` required and parsed, ``format_version``
+checked) and passes each tensor set it will write through
+:func:`check_tensor_set` (every name and shape) before the first
+write.  Each failure is a :class:`CheckpointError` naming the file and
+the key.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import zipfile
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Union
 
 import numpy as np
 
-__all__ = ["CheckpointError", "atomic_savez"]
+__all__ = ["Archive", "CheckpointError", "atomic_savez", "atomic_write",
+           "check_tensor_set", "read_archive"]
 
 
 class CheckpointError(RuntimeError):
-    """A checkpoint could not be written, read, or applied.
-
-    Raised with a message naming the offending file and — for
-    missing/mismatched archive entries — the offending key, so a
-    corrupt or incompatible checkpoint fails with a diagnosis instead
-    of a half-mutated model.
-    """
+    """A checkpoint could not be written, read, or applied; the message
+    names the file and, for an entry, the key."""
 
 
-def atomic_savez(path: Union[str, Path],
-                 arrays: Mapping[str, np.ndarray]) -> Path:
-    """Write ``arrays`` as a compressed ``.npz`` at *exactly* ``path``.
-
-    The archive is staged next to the target (same filesystem, so the
-    rename is atomic) and moved into place with ``os.replace``.  On any
-    failure the temporary file is removed and the pre-existing target
-    is left untouched.  Returns the final path.
-    """
+def atomic_write(path: Union[str, Path], write: Callable[[Path], Any],
+                 suffix: str = "") -> Path:
+    """Write the file at *exactly* ``path`` by calling ``write`` on a
+    stage path (same directory, pid-unique, ending in ``suffix``) and
+    renaming it into place.  On any failure the stage file is removed
+    and an existing target is left untouched."""
     path = Path(path)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-    # The stage name ends in .npz so numpy does not append a second
-    # suffix; the pid keeps concurrent writers from clobbering each
-    # other's stage file.
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp.npz")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp{suffix}")
     try:
-        np.savez_compressed(str(tmp), **arrays)
+        write(tmp)
         os.replace(tmp, path)
     # repro-check: disable=bare-except -- cleanup-and-reraise: the stage file must go even on KeyboardInterrupt
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
     return path
+
+
+def atomic_savez(path: Union[str, Path],
+                 arrays: Mapping[str, np.ndarray]) -> Path:
+    """Write ``arrays`` as a compressed ``.npz`` at exactly ``path``."""
+    # The stage name ends in .npz so numpy does not append a second one.
+    return atomic_write(
+        path, lambda tmp: np.savez_compressed(str(tmp), **arrays),
+        suffix=".npz")
+
+
+@dataclass
+class Archive:
+    """A staged checkpoint: every entry in memory, ``meta`` parsed."""
+
+    #: ``"<kind> <path>"``; every error message starts with it.
+    source: str
+    entries: Dict[str, np.ndarray]
+    meta: Dict[str, Any]
+
+    def error(self, message: str) -> CheckpointError:
+        return CheckpointError(f"{self.source} {message}")
+
+    def require(self, key: str) -> np.ndarray:
+        if key not in self.entries:
+            raise self.error(f"missing key {key!r}")
+        return self.entries[key]
+
+    def meta_field(self, key: str) -> Any:
+        if key not in self.meta:
+            raise self.error(f"missing key 'meta.{key}'")
+        return self.meta[key]
+
+    def section(self, prefix: str) -> Dict[str, np.ndarray]:
+        """Every entry under ``prefix``, keyed by the rest of its name."""
+        return {key[len(prefix):]: value
+                for key, value in self.entries.items()
+                if key.startswith(prefix)}
+
+
+def read_archive(path: Union[str, Path], kind: str,
+                 version: int) -> Archive:
+    """Stage every entry of the ``.npz`` at ``path``; its ``meta`` must
+    be a JSON object with ``format_version == version``."""
+    try:
+        with np.load(str(path), allow_pickle=False) as archive:
+            entries = {key: archive[key] for key in archive.files}
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"unreadable {kind} {path}: {exc}") from exc
+    staged = Archive(f"{kind} {path}", entries, {})
+    try:
+        staged.meta = json.loads(str(staged.require("meta")))
+    except json.JSONDecodeError as exc:
+        raise staged.error(f"has corrupt 'meta' JSON: {exc}") from exc
+    if not isinstance(staged.meta, dict):
+        raise staged.error("key 'meta' is not a JSON object")
+    found = staged.meta.get("format_version")
+    if found != version:
+        raise staged.error(f"has unsupported format_version {found!r} "
+                           f"(this build reads version {version})")
+    return staged
+
+
+def check_tensor_set(expected: Mapping[str, Any],
+                     given: Mapping[str, Any], prefix: str = "",
+                     source: Optional[str] = None) -> None:
+    """Refuse ``given`` unless it has exactly ``expected``'s names, each
+    at the expected entry's shape.
+
+    All names and shapes are checked before this returns, so a caller
+    that writes afterwards writes all of ``given`` or nothing.  The
+    message names the first offending entry as ``prefix + name``.  A
+    name mismatch is a ``KeyError`` and a shape mismatch a
+    ``ValueError`` — or, given an :attr:`Archive.source`, a
+    :class:`CheckpointError` naming it.
+    """
+    def fail(kind: type, message: str) -> None:
+        raise kind(message) if source is None \
+            else CheckpointError(f"{source} {message}")
+
+    missing = sorted(set(expected) - set(given))
+    unexpected = sorted(set(given) - set(expected))
+    if missing or unexpected:
+        what, names = ("missing", missing) if missing \
+            else ("unexpected", unexpected)
+        fail(KeyError, f"{what} key {prefix + names[0]!r} "
+                       f"({len(missing)} missing, {len(unexpected)} "
+                       "unexpected)")
+    for name in sorted(given):
+        want, got = tuple(expected[name].shape), np.shape(given[name])
+        if got != want:
+            fail(ValueError, f"key {prefix + name!r} has shape {got}, "
+                             f"expected {want}")

@@ -22,7 +22,6 @@ attribute lookups per step, no I/O.
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -30,6 +29,7 @@ from dataclasses import asdict, is_dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
+from ..nn.serialization import atomic_write
 from .schema import validate_manifest, validate_record, validate_summary
 
 __all__ = ["NullRunLogger", "RunLogger", "build_manifest",
@@ -99,7 +99,7 @@ def read_records(path: Union[str, Path]
             if lineno == len(lines) - 1:
                 return records, line
             raise ValueError(
-                f"{path}:{lineno + 1}: undecodable record mid-stream "
+                f"{path}:{lineno + 1}: record mid-stream is not JSON "
                 f"({exc})"
             ) from exc
     return records, None
@@ -251,12 +251,10 @@ class RunLogger:
                 or r["step"] < start_step]
         dropped = len(records) - len(kept)
         if dropped:
-            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-            tmp.write_text(
-                "".join(json.dumps(r, sort_keys=True) + "\n"
-                        for r in kept),
-                encoding="utf-8")
-            os.replace(tmp, path)
+            text = "".join(json.dumps(r, sort_keys=True) + "\n"
+                           for r in kept)
+            atomic_write(path, lambda tmp: tmp.write_text(
+                text, encoding="utf-8"))
         return dropped
 
     # -- artifacts ------------------------------------------------------
@@ -329,14 +327,12 @@ class RunLogger:
         self._steps.flush()
 
     def _write_json(self, name: str, payload: Mapping[str, Any]) -> None:
-        # Temp-file + rename: a crash mid-write must never leave a
-        # truncated manifest.json/summary.json — a resumed run needs
-        # both intact.
-        path = self.run_dir / name
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True)
-                       + "\n", encoding="utf-8")
-        os.replace(tmp, path)
+        # A crash mid-write must never leave a truncated
+        # manifest.json/summary.json (a resumed run needs both intact),
+        # nor a stage file.
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        atomic_write(self.run_dir / name,
+                     lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
     def close(self) -> None:
         if not self._steps.closed:

@@ -322,26 +322,20 @@ def validate_run_dir(run_dir: Union[str, Path],
     if not steps_path.is_file():
         errors.append("steps.jsonl missing")
     else:
-        lines = steps_path.read_text("utf-8").splitlines()
-        while lines and not lines[-1].strip():
-            lines.pop()
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if lineno == len(lines):
-                    warnings.append(
-                        f"steps.jsonl:{lineno}: torn trailing line "
-                        f"(crash artifact; repaired on --resume): "
-                        f"{line[:60]!r}"
-                    )
-                else:
-                    errors.append(f"steps.jsonl:{lineno}: not JSON ({exc})")
-                continue
-            errors.extend(f"steps.jsonl:{lineno}: {problem}"
-                          for problem in validate_record(record))
+        from .logger import read_records
+
+        try:
+            records, torn = read_records(steps_path)
+        except ValueError as exc:   # undecodable record mid-stream
+            errors.append(str(exc))
+        else:
+            if torn is not None:
+                warnings.append(
+                    f"steps.jsonl: torn trailing line (crash artifact; "
+                    f"repaired on --resume): {torn[:60]!r}")
+            for n, record in enumerate(records, start=1):
+                errors.extend(f"steps.jsonl record {n}: {problem}"
+                              for problem in validate_record(record))
 
     summary_path = run_dir / "summary.json"
     if not summary_path.is_file():

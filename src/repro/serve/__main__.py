@@ -1,16 +1,12 @@
-"""Entry point: ``python -m repro.serve`` (same as ``repro serve``).
-
-The argparse surface lives here (:func:`add_serve_arguments` /
-:func:`run_from_args`) so the top-level ``repro`` CLI can delegate
-without duplicating flags.
-"""
+"""Entry point: ``python -m repro.serve`` (same as ``repro serve``,
+which runs :func:`main` with its arguments)."""
 
 from __future__ import annotations
 
 import argparse
 import math
 
-from ..cli import _positive_int
+from ..cli import _positive_int, load_or_train
 
 
 def _port(text: str) -> int:
@@ -70,7 +66,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
 def run_from_args(args: argparse.Namespace) -> int:
     """Build the dataset + model, then serve until interrupted."""
     from ..experiments import build_dataset
-    from ..infer import load_predictor
     from ..util import reset_timings
     from .server import PredictionServer, ServerConfig, warm_up
 
@@ -79,24 +74,9 @@ def run_from_args(args: argparse.Namespace) -> int:
                             use_cache=not args.no_flow_cache,
                             cache_dir=args.cache_dir)
     designs = dataset.train + dataset.test
-    if args.model:
-        model = load_predictor(args.model)
-        if model.init_config["in_features"] != dataset.in_features:
-            print(f"checkpoint expects "
-                  f"{model.init_config['in_features']} input features, "
-                  f"dataset has {dataset.in_features}")
-            return 1
-    else:
-        from ..model import TimingPredictor
-        from ..train import OursTrainer, TrainConfig
-
-        print(f"no --model given; training for {args.train_steps} "
-              f"steps ...")
-        model = TimingPredictor(dataset.in_features, seed=args.seed)
-        trainer = OursTrainer(
-            model, dataset.train,
-            TrainConfig(steps=args.train_steps, seed=args.seed))
-        trainer.fit()
+    model = load_or_train(args, dataset)
+    if model is None:
+        return 1
 
     config = ServerConfig(host=args.host, port=args.port,
                           batch_window_ms=args.batch_window_ms,

@@ -138,14 +138,9 @@ class ModelContainer:
                         "digest": self.digest}
             old_digest = self.digest
             try:
-                model = load_predictor(self.model_path)
-                served = self.engine.model.init_config["in_features"]
-                wanted = model.init_config["in_features"]
-                if wanted != served:
-                    raise CheckpointError(
-                        f"predictor checkpoint {self.model_path} expects "
-                        f"{wanted} input features, the served designs "
-                        f"have {served}")
+                model = load_predictor(
+                    self.model_path,
+                    in_features=self.engine.model.init_config["in_features"])
             except CheckpointError as exc:
                 self.failed_reloads += 1
                 self.last_reload_error = str(exc)

@@ -29,18 +29,18 @@ see DESIGN.md §10 for the resume semantics.
 from __future__ import annotations
 
 import json
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from ..nn.serialization import CheckpointError, atomic_savez
+from ..nn.serialization import (Archive, CheckpointError, atomic_savez,
+                                read_archive)
 
 __all__ = ["CHECKPOINT_NAME", "CHECKPOINT_VERSION", "CheckpointError",
            "TrainingCheckpoint", "capture_rng", "load_checkpoint",
-           "restore_rng", "save_checkpoint"]
+           "optimizer_entries", "restore_rng", "save_checkpoint"]
 
 #: Default checkpoint filename inside a run directory.
 CHECKPOINT_NAME = "checkpoint.npz"
@@ -101,6 +101,16 @@ class TrainingCheckpoint:
     #: this dict, so unknown keys are ignored — e.g. ``workers`` in
     #: checkpoints written by the since-removed data-parallel trainer.
     extra: Dict[str, Any] = field(default_factory=dict)
+    #: ``"training checkpoint <path>"``: what error messages name.
+    source: str = "training checkpoint"
+
+
+def optimizer_entries(state: Mapping[str, Any]) -> Dict[str, np.ndarray]:
+    """An optimiser state dict's per-parameter buffers under their
+    archive names, ``opt::<buffer>::<i>`` (absent buffers omitted)."""
+    return {f"opt::{key}::{i}": buf
+            for key, value in state.items() if isinstance(value, list)
+            for i, buf in enumerate(value) if buf is not None}
 
 
 def _flatten_optimizer(state: Mapping[str, Any],
@@ -111,26 +121,20 @@ def _flatten_optimizer(state: Mapping[str, Any],
         if isinstance(value, list):
             present = [i for i, buf in enumerate(value) if buf is not None]
             meta["lists"][key] = {"len": len(value), "present": present}
-            for i in present:
-                arrays[f"opt::{key}::{i}"] = value[i]
         else:
             meta["scalars"][key] = value
+    arrays.update(optimizer_entries(state))
     return meta
 
 
-def _inflate_optimizer(meta: Mapping[str, Any],
-                       arrays: Mapping[str, np.ndarray],
-                       path: Path) -> Dict[str, Any]:
+def _inflate_optimizer(archive: Archive) -> Dict[str, Any]:
     """Rebuild the optimiser state dict from meta + archive arrays."""
+    meta = archive.meta_field("optimizer")
     state: Dict[str, Any] = dict(meta["scalars"])
     for key, spec in meta["lists"].items():
         buffers: List[Optional[np.ndarray]] = [None] * int(spec["len"])
         for i in spec["present"]:
-            entry = f"opt::{key}::{i}"
-            if entry not in arrays:
-                raise CheckpointError(
-                    f"checkpoint {path} missing key {entry!r}")
-            buffers[int(i)] = arrays[entry]
+            buffers[int(i)] = archive.require(f"opt::{key}::{i}")
         state[key] = buffers
     return state
 
@@ -147,14 +151,10 @@ def save_checkpoint(path: Union[str, Path], *, step: int,
 
     ``step`` counts *completed* optimisation steps; a resumed run
     continues at exactly that index.  ``model`` contributes every
-    tensor in its module tree (via ``named_tensors``); ``optimizer``,
-    ``keeper`` and ``selector`` contribute their ``state_dict()``.
+    tensor in its module tree (``Module.named_tensors``);
+    ``optimizer``, ``keeper`` and ``selector`` contribute their
+    ``state_dict()``.
     """
-    # Function-scope import: repro.infer imports repro.train.fused, so
-    # a module-level import here would tie the two package inits into a
-    # knot for no benefit.
-    from ..infer.cache import named_tensors
-
     arrays: Dict[str, np.ndarray] = {}
     opt_meta = _flatten_optimizer(optimizer.state_dict(), arrays)
 
@@ -173,7 +173,7 @@ def save_checkpoint(path: Union[str, Path], *, step: int,
             holdout_names.append(name)
             arrays[f"holdout::{name}"] = pool
 
-    for name, tensor in named_tensors(model):
+    for name, tensor in model.named_tensors():
         arrays[f"param::{name}"] = tensor.data
 
     meta = {
@@ -195,79 +195,43 @@ def save_checkpoint(path: Union[str, Path], *, step: int,
 def load_checkpoint(path: Union[str, Path]) -> TrainingCheckpoint:
     """Read a :func:`save_checkpoint` archive back into memory.
 
-    Everything is staged out of the archive before any object is
-    built, so a truncated or incomplete checkpoint raises one typed
-    :class:`CheckpointError` naming the offending key — it can never
-    half-populate a trainer.
+    The archive is staged through :func:`repro.nn.serialization.
+    read_archive`, so a truncated or incomplete checkpoint raises one
+    typed :class:`CheckpointError` naming the offending key before any
+    object is built.  Whether the staged tensors fit a model is
+    :meth:`repro.train.OursTrainer.load_checkpoint`'s check.
     """
-    path = Path(path)
-    try:
-        with np.load(str(path), allow_pickle=False) as archive:
-            staged = {key: archive[key] for key in archive.files}
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-        raise CheckpointError(
-            f"unreadable training checkpoint {path}: {exc}") from exc
-
-    if "meta" not in staged:
-        raise CheckpointError(f"checkpoint {path} missing key 'meta'")
-    try:
-        meta = json.loads(str(staged["meta"]))
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(
-            f"checkpoint {path} has corrupt 'meta' JSON: {exc}") from exc
-    version = meta.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {version!r} in {path} "
-            f"(this build reads version {CHECKPOINT_VERSION})"
-        )
-
-    config = dict(meta["config"])
+    archive = read_archive(path, "training checkpoint", CHECKPOINT_VERSION)
+    config = dict(archive.meta_field("config"))
     for key, kept in RETIRED_CONFIG_KEYS.items():
         value = config.pop(key, kept)
         if value != kept:
-            raise CheckpointError(
-                f"checkpoint {path} was written with the retired config "
-                f"key {key}={value!r}; only {key}={kept!r} can be "
-                "resumed, the code path it selected no longer exists")
-
-    params = {key[len("param::"):]: value
-              for key, value in staged.items()
-              if key.startswith("param::")}
-    optimizer = _inflate_optimizer(meta["optimizer"], staged, path)
+            raise archive.error(
+                f"was written with the retired config key {key}={value!r}; "
+                f"only {key}={kept!r} can be resumed, the code path it "
+                "selected no longer exists")
 
     keeper: Optional[Dict[str, Any]] = None
-    if meta.get("keeper") is not None:
-        best_state = None
-        if meta["keeper"]["has_state"]:
-            best_state = {key[len("keeper::"):]: value
-                          for key, value in staged.items()
-                          if key.startswith("keeper::")}
-            if not best_state:
-                raise CheckpointError(
-                    f"checkpoint {path} missing key 'keeper::*' "
-                    "(keeper snapshot recorded but absent)")
-        keeper = {"best_score": meta["keeper"]["best_score"],
-                  "best_state": best_state}
+    keeper_meta = archive.meta.get("keeper")
+    if keeper_meta is not None:
+        keeper = {"best_score": keeper_meta["best_score"],
+                  "best_state": archive.section("keeper::")
+                  if keeper_meta["has_state"] else None}
 
     holdout: Optional[Dict[str, np.ndarray]] = None
-    if meta.get("holdout_designs"):
-        holdout = {}
-        for name in meta["holdout_designs"]:
-            entry = f"holdout::{name}"
-            if entry not in staged:
-                raise CheckpointError(
-                    f"checkpoint {path} missing key {entry!r}")
-            holdout[name] = staged[entry]
+    if archive.meta.get("holdout_designs"):
+        holdout = {name: archive.require(f"holdout::{name}")
+                   for name in archive.meta["holdout_designs"]}
 
     return TrainingCheckpoint(
-        step=int(meta["step"]),
+        step=int(archive.meta_field("step")),
         config=config,
-        params=params,
-        optimizer=optimizer,
-        rng_states=dict(meta["rng_states"]),
+        params=archive.section("param::"),
+        optimizer=_inflate_optimizer(archive),
+        rng_states=dict(archive.meta_field("rng_states")),
         keeper=keeper,
         holdout=holdout,
-        history=list(meta.get("history", [])),
-        extra=dict(meta.get("extra") or {}),
+        history=list(archive.meta.get("history", [])),
+        extra=dict(archive.meta.get("extra") or {}),
+        source=archive.source,
     )

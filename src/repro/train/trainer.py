@@ -11,6 +11,7 @@ Equation 10), so no persistent node statistics are needed.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -23,11 +24,12 @@ from ..model import (TimingPredictor, cmd_loss_multi,
                      node_contrastive_loss_multi)
 from ..nn import (Adam, CheckpointError, CompiledStep, CompileError,
                   ReplayMismatch, Tensor, step_index, step_input, trace)
+from ..nn.serialization import check_tensor_set
 from ..obs import NullRunLogger, RunLogger
 from ..util import timed
 from .batching import sample_endpoints, sample_from_pool
-from .checkpoint import (CHECKPOINT_NAME, TrainingCheckpoint, restore_rng,
-                         save_checkpoint)
+from .checkpoint import (CHECKPOINT_NAME, TrainingCheckpoint,
+                         optimizer_entries, restore_rng, save_checkpoint)
 from .checkpoint import load_checkpoint as read_checkpoint
 from .fused import FusedDesignBatch, slice_ranges
 from .selection import CheckpointKeeper, HoldoutSelector
@@ -294,17 +296,17 @@ class OursTrainer:
                         ) -> TrainingCheckpoint:
         """Restore a :meth:`save_checkpoint` snapshot; resume via fit().
 
-        Validates everything (config compatibility, tensor names and
-        shapes, optimizer buffers, holdout fingerprint) *before*
-        mutating any state, so a bad checkpoint raises one
-        :class:`~repro.nn.CheckpointError` and leaves the trainer
-        untouched.  After a successful load, ``fit()`` continues from
-        the recorded step and reproduces the uninterrupted run
-        bit-for-bit.
+        Check, then apply (DESIGN.md §10): the config, every model
+        tensor, the keeper snapshot, the optimizer buffers, both RNG
+        states and the holdout fingerprint are validated before the
+        first write, so a bad checkpoint raises one
+        :class:`~repro.nn.CheckpointError` naming the offending key and
+        leaves the trainer untouched.  After a successful load,
+        ``fit()`` continues from the recorded step and reproduces the
+        uninterrupted run bit-for-bit.
         """
-        from ..infer.cache import named_tensors
-
         ckpt = read_checkpoint(path)
+        source = ckpt.source
         current = asdict(self.config)
         # checkpoint_every may legitimately differ between the original
         # and the resumed invocation, and `compile` only changes *how*
@@ -323,30 +325,31 @@ class OursTrainer:
         )
         if diffs:
             raise CheckpointError(
-                f"checkpoint {path} was written under a different "
+                f"{source} was written under a different "
                 f"TrainConfig (differing fields: {', '.join(diffs)}); "
                 "resume with the original configuration"
             )
-        tensors = dict(named_tensors(self.model))
-        missing = sorted(set(tensors) - set(ckpt.params))
-        unexpected = sorted(set(ckpt.params) - set(tensors))
-        if missing or unexpected:
-            offending = (missing or unexpected)[0]
-            raise CheckpointError(
-                f"checkpoint {path} parameter set mismatch at key "
-                f"{offending!r} (missing={missing}, "
-                f"unexpected={unexpected})"
-            )
-        for name, value in ckpt.params.items():
-            if tensors[name].data.shape != value.shape:
+        tensors = dict(self.model.named_tensors())
+        check_tensor_set(tensors, ckpt.params, "param::", source)
+        if self.keeper is not None and ckpt.keeper is not None \
+                and ckpt.keeper["best_state"] is not None:
+            check_tensor_set(dict(self.model.named_parameters()),
+                             ckpt.keeper["best_state"], "keeper::", source)
+        check_tensor_set(optimizer_entries(self.optimizer.state_dict()),
+                         optimizer_entries(ckpt.optimizer), source=source)
+        rngs = {"train": self.rng, "noise": self.model.readout._noise_rng}
+        for name, rng in rngs.items():
+            # Into a copy: nothing is written yet.
+            try:
+                restore_rng(copy.deepcopy(rng), ckpt.rng_states[name])
+            except (KeyError, TypeError, ValueError) as exc:
                 raise CheckpointError(
-                    f"checkpoint {path} key {name!r} has shape "
-                    f"{value.shape}, model expects "
-                    f"{tensors[name].data.shape}"
-                )
+                    f"{source} key 'meta.rng_states.{name}' is not a "
+                    f"{type(rng.bit_generator).__name__} state: {exc!r}"
+                ) from exc
         if (ckpt.holdout is None) != (self.selector is None):
             raise CheckpointError(
-                f"checkpoint {path} holdout state mismatch: checkpoint "
+                f"{source} holdout state mismatch: checkpoint "
                 f"{'has' if ckpt.holdout else 'lacks'} a holdout split, "
                 f"trainer {'has' if self.selector else 'lacks'} one"
             )
@@ -355,22 +358,21 @@ class OursTrainer:
                 self.selector.verify_state(ckpt.holdout)
             except ValueError as exc:
                 raise CheckpointError(
-                    f"checkpoint {path} holdout fingerprint mismatch: "
-                    f"{exc}") from exc
+                    f"{source} holdout fingerprint mismatch: {exc}"
+                ) from exc
 
-        # All validated — apply.
-        for name, value in ckpt.params.items():
-            # repro-check: disable=tensor-data-mutation -- checkpoint load writes leaf tensors between runs
-            tensors[name].data[...] = value
+        # All validated — apply.  The optimizer's load checks its kind
+        # and scalars before it writes anything, so it goes first.
         try:
             self.optimizer.load_state_dict(ckpt.optimizer)
         except (KeyError, ValueError) as exc:
             raise CheckpointError(
-                f"checkpoint {path} optimizer state invalid: {exc}"
-            ) from exc
-        restore_rng(self.rng, ckpt.rng_states["train"])
-        restore_rng(self.model.readout._noise_rng,
-                    ckpt.rng_states["noise"])
+                f"{source} optimizer state invalid: {exc}") from exc
+        for name, value in ckpt.params.items():
+            # repro-check: disable=tensor-data-mutation -- checkpoint load writes leaf tensors between runs
+            tensors[name].data[...] = value
+        for name, rng in rngs.items():
+            restore_rng(rng, ckpt.rng_states[name])
         if self.keeper is not None and ckpt.keeper is not None:
             self.keeper.load_state_dict(ckpt.keeper)
         self.history = [dict(record) for record in ckpt.history]

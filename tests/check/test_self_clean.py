@@ -61,3 +61,16 @@ def test_nonexistent_path_is_a_usage_error(tmp_path, capsys, target,
     out = capsys.readouterr().out
     assert status == 2
     assert message in out and "repro check: clean" not in out
+
+
+@pytest.mark.parametrize("repro_cli", [False, True],
+                         ids=["python-m-repro.check", "repro-check"])
+def test_every_pass_switched_off_is_a_usage_error(capsys, repro_cli):
+    """--no-lint --no-gradcheck checks nothing, so it is not `clean`."""
+    from repro.cli import main as repro_main
+
+    flags = ["--no-lint", "--no-gradcheck"]
+    status = repro_main(["check", *flags]) if repro_cli else main(flags)
+    out = capsys.readouterr().out
+    assert status == 2
+    assert "nothing to check" in out and "clean" not in out

@@ -29,3 +29,15 @@ class TestRunner:
     def test_main_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
             main(["not_an_experiment"])
+
+    def test_main_takes_names_or_runs_everything(self, monkeypatch):
+        """No names means every experiment (``choices=`` on a
+        ``nargs="*"`` positional used to refuse the empty list)."""
+        from repro.experiments import runner
+
+        calls = []
+        monkeypatch.setattr(runner, "run_all",
+                            lambda names, **kwargs: calls.append(names))
+        assert main(["--steps", "3"]) == 0
+        assert main(["table2", "reverse"]) == 0
+        assert calls == [None, ["table2", "reverse"]]

@@ -6,7 +6,7 @@ step, ``load_state_dict``, or a raw ``.data`` write to a frozen
 
 import numpy as np
 
-from repro.infer import FeatureCache, named_tensors, weight_digest
+from repro.infer import FeatureCache, weight_digest
 from repro.nn import Adam, Linear, MLP, Module, Tensor
 
 
@@ -34,7 +34,7 @@ class _FakeDesign:
 
 class TestNamedTensors:
     def test_walks_nested_modules_lists_and_frozen(self):
-        names = dict(named_tensors(_Shell()))
+        names = dict(_Shell().named_tensors())
         assert "head.weight" in names
         assert "blocks.0.weight" in names
         assert any(n.startswith("blocks.1.") for n in names)
@@ -42,7 +42,7 @@ class TestNamedTensors:
 
     def test_superset_of_named_parameters(self):
         shell = _Shell()
-        tensors = dict(named_tensors(shell))
+        tensors = dict(shell.named_tensors())
         for name, param in shell.named_parameters():
             assert name in tensors
             assert tensors[name] is param

@@ -272,6 +272,9 @@ class TestSerialization:
         assert [p for p in tmp_path.iterdir() if p != path] == []
 
     def test_missing_key_is_named(self, model, tmp_path):
+        """Dropping any one entry is refused, naming it — a weight as
+        much as a prior (a missing weight must not be served at its
+        freshly initialised value)."""
         import numpy as np_
 
         from repro.nn import CheckpointError
@@ -279,13 +282,16 @@ class TestSerialization:
         path = tmp_path / "model.npz"
         save_predictor(model, path)
         with np_.load(path, allow_pickle=False) as archive:
-            arrays = {k: archive[k] for k in archive.files}
-        victim = next(k for k in arrays if k.startswith("prior::log_var"))
-        del arrays[victim]
-        np_.savez_compressed(path, **arrays)
-        with pytest.raises(CheckpointError) as excinfo:
-            load_predictor(path)
-        assert victim in str(excinfo.value)
+            saved = {k: archive[k] for k in archive.files}
+        for victim in (next(k for k in saved
+                            if k.startswith("prior::log_var")),
+                       "param::readout.w_base"):
+            arrays = dict(saved)
+            del arrays[victim]
+            np_.savez_compressed(path, **arrays)
+            with pytest.raises(CheckpointError) as excinfo:
+                load_predictor(path)
+            assert victim in str(excinfo.value)
 
     def test_corrupt_archive_raises_typed_error(self, tmp_path):
         from repro.nn import CheckpointError

@@ -187,9 +187,34 @@ class TestAtomicManifestWrite:
             def dying_replace(src, dst):
                 raise OSError("simulated kill")
 
-            monkeypatch.setattr("repro.obs.logger.os.replace",
-                                dying_replace)
+            monkeypatch.setattr(os_mod, "replace", dying_replace)
             with pytest.raises(OSError):
                 logger.annotate_manifest(interrupted=True)
             monkeypatch.undo()
             assert (run_dir / "manifest.json").read_bytes() == before
+        assert sorted(p.name for p in run_dir.iterdir()) == \
+            ["manifest.json", "steps.jsonl"]
+
+    def test_failed_writes_leave_no_stage_file(self, tmp_path,
+                                               monkeypatch):
+        """summary.json and the rewritten step stream are staged and
+        renamed by the same helper: a failed rename removes the stage
+        file and leaves the stream as it was."""
+        import os as os_mod
+
+        def dying_replace(src, dst):
+            raise OSError("simulated kill")
+
+        run_dir = tmp_path / "run"
+        with RunLogger(run_dir) as logger:
+            for t in range(2):
+                logger.log_step(t, {"lr": 1e-3, "step_seconds": 0.01})
+            monkeypatch.setattr(os_mod, "replace", dying_replace)
+            with pytest.raises(OSError):
+                logger.log_summary(timings={})
+        stream = (run_dir / "steps.jsonl").read_bytes()
+        with pytest.raises(OSError):
+            RunLogger(run_dir, resume=True, resume_step=1)
+        monkeypatch.undo()
+        assert [p.name for p in run_dir.iterdir()] == ["steps.jsonl"]
+        assert (run_dir / "steps.jsonl").read_bytes() == stream

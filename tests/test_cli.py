@@ -55,6 +55,18 @@ class TestParser:
         assert args.checkpoint_every == 10
         assert args.resume == "runs/x"
 
+    def test_unknown_experiment_exits_before_building(self, monkeypatch):
+        """`repro experiments` parses with the runner's own arguments."""
+        from repro.experiments import runner
+
+        def no_build(**kwargs):
+            raise AssertionError("built the dataset before parsing")
+
+        monkeypatch.setattr(runner, "build_dataset", no_build)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiments", "tabel2"])
+        assert excinfo.value.code == 2
+
 
 class TestCommands:
     def test_libs(self, capsys):

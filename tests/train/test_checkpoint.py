@@ -10,7 +10,6 @@ import pytest
 from repro.features import GateVocabulary, normalize_features
 from repro.flow import run_flow
 from repro.infer import weight_digest
-from repro.infer.cache import named_tensors
 from repro.model import TimingPredictor
 from repro.nn import CheckpointError
 from repro.techlib import make_asap7_library, make_sky130_library
@@ -110,8 +109,7 @@ class TestCheckpointArchive:
         assert ckpt.step == 0
         assert ckpt.config["steps"] == FAST.steps
         assert ckpt.config["seed"] == FAST.seed
-        from repro.infer.cache import named_tensors
-        tensors = dict(named_tensors(trainer.model))
+        tensors = dict(trainer.model.named_tensors())
         assert set(ckpt.params) == set(tensors)
         for name, value in ckpt.params.items():
             np.testing.assert_array_equal(value, tensors[name].data)
@@ -253,8 +251,8 @@ class TestWorkersExtra:
         for key in ("total", "elbo", "contrastive", "cmd", "grad_norm"):
             assert np.array_equal([r[key] for r in resumed.history],
                                   [r[key] for r in baseline.history]), key
-        want = dict(named_tensors(baseline.model))
-        got = dict(named_tensors(resumed.model))
+        want = dict(baseline.model.named_tensors())
+        got = dict(resumed.model.named_tensors())
         assert got.keys() == want.keys()
         for name in want:
             assert np.array_equal(got[name].data, want[name].data), name
@@ -283,17 +281,61 @@ class TestTrainerValidation:
 
     def test_failed_load_leaves_trainer_untouched(self, tiny_designs,
                                                   in_features, tmp_path):
+        """Check, then apply: whichever check fails, the error names the
+        key and the trainer keeps its weights, Adam moments and step
+        count, both RNG states and its keeper snapshot."""
         trainer = make_trainer(tiny_designs, in_features)
+        trainer.keeper.offer(0.5)   # save a keeper snapshot too
         path = tmp_path / CHECKPOINT_NAME
         trainer.save_checkpoint(step=0, path=path)
-        other = make_trainer(tiny_designs, in_features,
-                             config=replace(FAST, lr=1e-4))
-        before = weight_digest(other.model)
-        rng_before = capture_rng(other.rng)
-        with pytest.raises(CheckpointError):
-            other.load_checkpoint(path)
-        assert weight_digest(other.model) == before
-        assert capture_rng(other.rng) == rng_before
+        with np.load(path, allow_pickle=False) as archive:
+            saved = {k: archive[k] for k in archive.files}
+
+        def with_meta(edit):
+            def mutate(arrays):
+                meta = json.loads(str(arrays["meta"]))
+                edit(meta)
+                arrays["meta"] = np.array(json.dumps(meta))
+            return mutate
+
+        def misshape(arrays):
+            arrays["opt::m::0"] = np.zeros(3)
+
+        def drop_keeper_entry(arrays):
+            del arrays["keeper::readout.w_base"]
+
+        cases = {
+            "lr": with_meta(lambda m: m["config"].update(lr=1e-4)),
+            "opt::m::0": misshape,
+            "keeper::readout.w_base": drop_keeper_entry,
+            "rng_states.noise": with_meta(lambda m: m["rng_states"].update(
+                noise={"bit_generator": "PCG64", "state": "garbage"})),
+        }
+
+        other = make_trainer(tiny_designs, in_features)
+        other.step(warmup=True)   # moments, step count and RNGs to keep
+        other.keeper.offer(0.25)
+
+        def state(tr):
+            adam = tr.optimizer.state_dict()
+            keeper = tr.keeper.state_dict()
+            return (weight_digest(tr.model), adam["t"],
+                    [buf.tobytes() for buf in adam["m"] + adam["v"]],
+                    capture_rng(tr.rng),
+                    capture_rng(tr.model.readout._noise_rng),
+                    keeper["best_score"],
+                    {name: value.tobytes()
+                     for name, value in keeper["best_state"].items()})
+
+        before = state(other)
+        for key, mutate in cases.items():
+            arrays = dict(saved)
+            mutate(arrays)
+            np.savez(path, **arrays)
+            with pytest.raises(CheckpointError) as excinfo:
+                other.load_checkpoint(path)
+            assert key in str(excinfo.value)
+            assert state(other) == before, key
 
 
 class TestResumeDeterminism:

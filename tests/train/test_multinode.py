@@ -11,7 +11,6 @@ import pytest
 
 from repro.features import GateVocabulary, normalize_features
 from repro.flow import run_flow
-from repro.infer.cache import named_tensors
 from repro.model import TimingPredictor
 from repro.techlib import NodeLadder
 from repro.train import OursTrainer, TrainConfig
@@ -67,7 +66,7 @@ def _train(designs, **config_kwargs):
                           TrainConfig(**{**FAST, **config_kwargs}))
     history = trainer.fit()
     weights = {name: tensor.data.copy()
-               for name, tensor in named_tensors(model)}
+               for name, tensor in model.named_tensors()}
     return trainer, history, weights
 
 
