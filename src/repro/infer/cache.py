@@ -15,8 +15,10 @@ The digest walks *all* tensor attributes
 (:meth:`~repro.nn.Module.named_tensors`), not just trainable ones:
 ablations freeze parameters by flipping ``requires_grad`` off, and a
 later ``.data`` write to a frozen tensor must still invalidate.
-Digesting the full parameter set costs one pass over ~10^5 floats
-(tens of microseconds) — noise next to the graph sweep it saves.
+Digesting the full parameter set is not free: the default model has
+15,193 floats in 32 tensors, and one digest takes about 0.3 ms on a
+2-vCPU Xeon — about half of a warm one-design ``predict_many``
+(0.6 ms), though a small part of the cold sweep it saves.
 
 Both :class:`FeatureCache` and :class:`BoundedLRU` are thread-safe:
 the resident server (`repro.serve`) hits them from every handler
@@ -155,6 +157,14 @@ class FeatureCache:
                 return entry[1]
             self.misses += 1
             return None
+
+    def holds(self, design, digest: str) -> bool:
+        """Whether ``design`` has a triple under ``digest``; unlike
+        :meth:`lookup`, not counted as a hit or a miss."""
+        key = design_key(design)
+        with self._lock:
+            entry = self._store.get(key)
+            return entry is not None and entry[0] == digest
 
     def store(self, design, digest: str,
               features: FeatureTriple) -> None:

@@ -11,19 +11,23 @@ has not changed, and a separate prior-MLP forward per design.
   :class:`~repro.infer.cache.FeatureCache` keyed by the model's weight
   digest, so repeated queries — the serving pattern — skip the GNN and
   CNN entirely and reduce to two small matmuls;
-- the cache-missing designs are merged into one disjoint-union graph
+- a cold extraction merges its designs into one disjoint-union graph
   (reusing :func:`repro.train.fused.merge_pin_graphs`) for a single
-  levelised sweep + one stacked CNN forward, and the transductive
-  population-prior update is hoisted out of the per-design loop into
-  one batched prior-MLP forward;
+  levelised sweep, then runs the CNN once per design, and the
+  transductive population-prior update is hoisted out of the
+  per-design loop into one batched prior-MLP forward;
 - the CNN is the training model's own :class:`~repro.model.LayoutCNN`
   forward under ``no_grad()``, running the registry ops training runs,
   and the *weight-independent* parts of a cold
-  extraction — the fused batch structure and the first conv layer's
-  im2col columns of its stacked images, handed to ``F.conv2d`` as
-  precomputed ``cols``, both functions of the immutable design data
-  alone — are memoised per design set, so they survive weight updates
-  that invalidate the feature cache.
+  extraction — the fused batch structure and, per design, the first
+  conv layer's im2col columns of its path images, handed to
+  ``F.conv2d`` as precomputed ``cols``, both functions of the
+  immutable design data alone — are memoised per design set, so they
+  survive weight updates that invalidate the feature cache.  One CNN
+  forward per design gives the same bits as one forward over every
+  design's stacked images (each op is per image, or a GEMM whose rows
+  are independent), with intermediates a design's size instead of the
+  whole set's.
 
 Numerics are the training path's: ``predict_many([design])`` equals
 ``TimingPredictor.predict(design)`` bit for bit, and a fused
@@ -42,14 +46,23 @@ The engine is **thread-safe and resident-process-safe** (the contract
   request mixes cannot grow memory without limit;
 - predictions take a shared read lock and :meth:`swap_model` takes the
   write side, so a hot-reload can never interleave with an in-flight
-  forward (requests see the old weights or the new, never a mix);
+  forward (requests see the old weights or the new, never a mix), and
+  every :class:`Prediction` carries the :attr:`~InferenceEngine.
+  generation` whose weights computed it;
+- :meth:`swap_model` extracts the given designs' features under the
+  new weights *before* it takes the write lock, while the old model
+  keeps answering, and installs weights and features together, so a
+  reload never leaves the served designs cold;
 - the digest a cold extraction was computed under is re-checked before
   the feature-cache store, so a weight edit that bypasses
-  ``swap_model`` can still never publish stale features.
+  ``swap_model`` can still never publish stale features.  Every call
+  digests the weights at least once (about 0.3 ms for the default
+  model, half of a warm one-design call; see :mod:`repro.infer.cache`).
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,18 +79,26 @@ from .cache import (BoundedLRU, FeatureCache, FeatureTriple, design_key,
 __all__ = ["InferenceEngine", "Prediction"]
 
 #: LRU bound on the fused batch structures (one per distinct set of
-#: cache-missing designs) a resident engine keeps across model updates.
+#: cold-extracted designs) a resident engine keeps across model updates.
 MAX_STRUCT_ENTRIES = 8
+
+#: A staged warm: ``(design, its features)`` pairs under one digest.
+Staged = List[Tuple[DesignData, FeatureTriple]]
 
 
 def image_columns(images: np.ndarray, conv: Conv2d) -> np.ndarray:
     """``conv``'s im2col columns of ``images`` (the ``cols`` of ``F.conv2d``).
 
     Weight-independent (only the kernel geometry matters), so the
-    engine computes them once per design set and reuses them across any
+    engine computes them once per design and reuses them across any
     number of model updates.
     """
     return im2col(images, conv.weight.shape[2:], conv.stride, conv.padding)
+
+
+def _conv_geometry(conv: Conv2d) -> tuple:
+    """What :func:`image_columns` of ``conv`` depend on."""
+    return conv.weight.data.shape, conv.stride, conv.padding
 
 
 def cnn_forward(cnn: LayoutCNN, images: np.ndarray,
@@ -94,15 +115,19 @@ def cnn_forward(cnn: LayoutCNN, images: np.ndarray,
 class Prediction:
     """One design's serving result (arrays, not tensors)."""
 
-    __slots__ = ("name", "node", "mean", "std", "num_endpoints")
+    __slots__ = ("name", "node", "mean", "std", "num_endpoints",
+                 "generation")
 
     def __init__(self, name: str, node: str, mean: np.ndarray,
-                 std: Optional[np.ndarray] = None) -> None:
+                 std: Optional[np.ndarray] = None,
+                 generation: int = 1) -> None:
         self.name = name
         self.node = node
         self.mean = mean
         self.std = std
         self.num_endpoints = int(mean.shape[0])
+        #: The engine generation whose weights computed this result.
+        self.generation = generation
 
     def __repr__(self) -> str:
         flag = ", std" if self.std is not None else ""
@@ -131,43 +156,76 @@ class InferenceEngine:
     def __init__(self, model: TimingPredictor,
                  use_cache: bool = True) -> None:
         self.model = model
+        #: Models served so far: 1 for ``model``, one more per
+        #: :meth:`swap_model`.
+        self.generation = 1
         self.cache: Optional[FeatureCache] = \
             FeatureCache() if use_cache else None
-        #: design-set key -> (FusedDesignBatch, subsets, images, cols);
-        #: the union graph and stacked images are weight-independent.
-        #: Keyed on each design's content digest, not only its name, and
-        #: evictions are counted in :meth:`stats`.
+        #: design-set key -> (FusedDesignBatch, per-design (images,
+        #: cols)); the union graph and the conv1 columns are
+        #: weight-independent.  Keyed on each design's content digest,
+        #: not only its name, and evictions are counted in :meth:`stats`.
         self._structs: BoundedLRU = BoundedLRU(MAX_STRUCT_ENTRIES)
         #: Shared by predictions (read) and swap_model (write): a
         #: hot-reload is mutually exclusive with in-flight forwards.
         self._rw = RWLock()
+        #: Held across a whole warm or swap (extract, then install), so
+        #: a warm never stores features over a newer model's.
+        self._swap = threading.Lock()
 
     # ------------------------------------------------------------------
     # Feature extraction (the cached, expensive half)
     # ------------------------------------------------------------------
-    def _digest(self) -> str:
+    @staticmethod
+    def _digest(model: TimingPredictor) -> str:
         with timed("infer.digest"):
-            return weight_digest(self.model)
+            return weight_digest(model)
 
-    def _batch_struct(self, missed: Sequence[DesignData]) -> tuple:
-        """Weight-independent batch structure for a set of designs:
-        union graph, full endpoint subsets, stacked images, columns."""
-        key = tuple(design_key(d) for d in missed)
-        struct = self._structs.get(key)
+    def _batch_struct(self, designs: Sequence[DesignData],
+                      conv: Conv2d) -> tuple:
+        """Weight-independent structure of a design set: the union graph,
+        and per design its path images with ``conv``'s columns of them.
+
+        Cached only while ``conv`` has the served model's geometry, so
+        a swap's warm never leaves columns for another kernel behind.
+        """
+        key = tuple(design_key(d) for d in designs)
+        cacheable = _conv_geometry(conv) == \
+            _conv_geometry(self.model.extractor.cnn.conv1)
+        struct = self._structs.get(key) if cacheable else None
         if struct is None:
-            batch = FusedDesignBatch(list(missed))
-            subsets = [np.arange(d.num_endpoints) for d in missed]
-            images = batch.stacked_path_images(subsets)
-            cols = image_columns(images, self.model.extractor.cnn.conv1)
-            struct = (batch, subsets, images, cols)
-            self._structs.put(key, struct)
+            batch = FusedDesignBatch(list(designs))
+            layouts = [(images, image_columns(images, conv))
+                       for images in (d.path_image_stack() for d in designs)]
+            struct = (batch, layouts)
+            if cacheable:
+                self._structs.put(key, struct)
         return struct
+
+    def _extract(self, model: TimingPredictor,
+                 designs: Sequence[DesignData]) -> List[FeatureTriple]:
+        """Cold per-design triples under ``model``: one GNN sweep over
+        the designs' union graph, then one CNN forward per design over
+        its cached conv1 columns."""
+        with timed("infer.features"):
+            batch, layouts = self._batch_struct(designs,
+                                                model.extractor.cnn.conv1)
+            u_graph = model.extractor.gnn(batch.graph,
+                                          batch.graph.endpoint_rows).data
+            u_layout = np.concatenate([
+                cnn_forward(model.extractor.cnn, images, cols=cols)
+                for images, cols in layouts])
+            u = np.concatenate([u_graph, u_layout], axis=1)
+            u_n, u_d = (t.data for t in model.disentangler(Tensor(u)))
+        return [(u[lo:hi], u_n[lo:hi], u_d[lo:hi]) for lo, hi in
+                slice_ranges([d.num_endpoints for d in designs])]
 
     def _features_many(self, designs: Sequence[DesignData]
                        ) -> List[FeatureTriple]:
-        """Per-design triples, extracting every cache miss in ONE fused
-        forward (union graph sweep + stacked CNN)."""
-        digest = self._digest() if self.cache is not None else ""
+        """Per-design triples, extracting every cache miss in ONE cold
+        pass (:meth:`_extract`)."""
+        model = self.model
+        digest = self._digest(model) if self.cache is not None else ""
         triples: List[Optional[FeatureTriple]] = [None] * len(designs)
         misses: List[int] = []
         for i, design in enumerate(designs):
@@ -178,27 +236,40 @@ class InferenceEngine:
             else:
                 misses.append(i)
         if misses:
-            missed = [designs[i] for i in misses]
-            model = self.model
-            with timed("infer.features"):
-                batch, subsets, images, cols = self._batch_struct(missed)
-                rows = batch.merged_endpoint_rows(subsets)
-                u_graph = model.extractor.gnn(batch.graph, rows).data
-                u_layout = cnn_forward(model.extractor.cnn, images,
-                                       cols=cols)
-                u = np.concatenate([u_graph, u_layout], axis=1)
-                u_n, u_d = (t.data for t in model.disentangler(Tensor(u)))
+            extracted = self._extract(model, [designs[i] for i in misses])
             # One digest recompute per coalesced batch: store the whole
             # batch's triples only if the weights did not change under
             # us while the fused forward ran.
-            storable = self.cache is not None and self._digest() == digest
-            for (lo, hi), i in zip(
-                    slice_ranges([len(s) for s in subsets]), misses):
-                triple = (u[lo:hi], u_n[lo:hi], u_d[lo:hi])
+            storable = self.cache is not None and \
+                self._digest(model) == digest
+            for i, triple in zip(misses, extracted):
                 triples[i] = triple
                 if storable:
                     self.cache.store(designs[i], digest, triple)
         return triples  # type: ignore[return-value]
+
+    def _stage(self, model: TimingPredictor,
+               designs: Sequence[DesignData]) -> Tuple[str, Staged]:
+        """``model``'s digest, and the features under it of each design
+        the cache holds none for, extracted without the engine lock.
+
+        The designs are extracted in ``design_key`` order, so every warm
+        of one design set shares one structure entry.  Nothing is staged
+        if the weights change while they run.
+        """
+        if self.cache is None or not designs:
+            return "", []
+        digest = self._digest(model)
+        cold = {design_key(d): d for d in designs
+                if not self.cache.holds(d, digest)}
+        missed = [cold[key] for key in sorted(cold)]
+        if not missed:
+            return digest, []
+        with no_grad():
+            triples = self._extract(model, missed)
+        if self._digest(model) != digest:
+            return digest, []
+        return digest, list(zip(missed, triples))
 
     # ------------------------------------------------------------------
     # Priors (the cheap, per-query half)
@@ -259,6 +330,7 @@ class InferenceEngine:
         if with_uncertainty and mc_samples <= 0:
             raise ValueError("uncertainty needs mc_samples > 0")
         with self._rw.read(), no_grad(), timed("infer.predict_many"):
+            generation = self.generation
             triples = self._features_many(designs)
             mu_all, lv_all = self._batched_priors(designs, triples)
             out: Dict[str, Prediction] = {}
@@ -269,33 +341,52 @@ class InferenceEngine:
                     u, mu_all[i:i + 1], lv_all[i:i + 1], mc_samples,
                     draw, with_std=with_uncertainty)
                 out[design.name] = Prediction(design.name, design.node,
-                                              mean, std)
+                                              mean, std, generation)
         return out
 
     # ------------------------------------------------------------------
-    # Hot reload
+    # Warm-up and hot reload
     # ------------------------------------------------------------------
-    def swap_model(self, model: TimingPredictor) -> None:
-        """Atomically replace the served predictor.
+    def warm(self, designs: Sequence[DesignData]) -> int:
+        """Cache the served model's features of ``designs`` in one cold
+        pass, skipping those already cached: :meth:`swap_model`'s staged
+        warm without the swap.  Returns how many were extracted."""
+        with self._swap:
+            digest, staged = self._stage(self.model, designs)
+            for design, triple in staged:
+                self.cache.store(design, digest, triple)
+        return len(staged)
 
-        Takes the write side of the engine lock, so the swap waits for
-        in-flight predictions and no prediction can start mid-swap: a
-        request sees the old weights or the new, never a mixture.  The
-        feature cache needs no flush — its entries are digest-keyed, so
-        the new weights simply miss.  The weight-independent structure
-        cache survives unless the new model's first conv layer has a
-        different geometry (then its cached im2col columns are shaped
-        for the wrong kernel and are dropped).
+    def swap_model(self, model: TimingPredictor,
+                   warm: Sequence[DesignData] = ()) -> None:
+        """Atomically replace the served predictor, warm for ``warm``.
+
+        First the features of the ``warm`` designs are extracted under
+        the new weights (one cold pass; a design already cached under
+        the new digest is skipped) while the old model keeps serving:
+        no engine lock is held.  Then the write side of the engine lock
+        installs the weights, those features and the next
+        :attr:`generation` at once: the swap waits for in-flight
+        predictions, no prediction can start mid-swap, and a request
+        sees the old weights or the new, never a mixture, and never a
+        cold new model for a warmed design.  The feature cache needs no
+        flush — its entries are digest-keyed, so the new weights simply
+        miss.  The weight-independent structure cache survives unless
+        the new model's first conv layer has a different geometry (then
+        its cached im2col columns are shaped for the wrong kernel and
+        are dropped; the warm builds its own).
         """
-        old = self.model.extractor.cnn.conv1
-        new = model.extractor.cnn.conv1
-        compatible = (old.weight.data.shape == new.weight.data.shape
-                      and old.stride == new.stride
-                      and old.padding == new.padding)
-        with self._rw.write():
-            self.model = model
-            if not compatible:
-                self._structs.clear()
+        with self._swap:
+            digest, staged = self._stage(model, warm)
+            compatible = _conv_geometry(model.extractor.cnn.conv1) == \
+                _conv_geometry(self.model.extractor.cnn.conv1)
+            with self._rw.write():
+                self.model = model
+                self.generation += 1
+                if not compatible:
+                    self._structs.clear()
+                for design, triple in staged:
+                    self.cache.store(design, digest, triple)
 
     # ------------------------------------------------------------------
     def cache_stats(self) -> Dict[str, int]:

@@ -111,8 +111,8 @@ def load_predictor(path: Union[str, Path], *,
     """
     archive = read_archive(_resolve_checkpoint_path(path),
                            "predictor checkpoint", _FORMAT_VERSION)
-    init_config = archive.meta_field("init_config")
-    wanted = init_config.get("in_features")
+    init_config = archive.meta_field("init_config", "in_features")
+    wanted = init_config["in_features"]
     if in_features is not None and wanted != in_features:
         raise archive.error(
             f"expects {wanted} input features, the designs have "
@@ -131,7 +131,12 @@ def load_predictor(path: Union[str, Path], *,
     priors = {node: (mu, archive.require(f"prior::log_var::{node}"))
               for node, mu in archive.section("prior::mu::").items()}
 
-    model = TimingPredictor(**init_config)
+    try:
+        model = TimingPredictor(**init_config)
+    except (TypeError, ValueError) as exc:
+        raise archive.error(
+            f"key 'meta.init_config' does not build a TimingPredictor: "
+            f"{exc}") from exc
     tensors = dict(model.named_tensors())
     params = archive.section("param::")
     check_tensor_set(tensors, params, "param::", archive.source)

@@ -82,10 +82,18 @@ class Archive:
             raise self.error(f"missing key {key!r}")
         return self.entries[key]
 
-    def meta_field(self, key: str) -> Any:
+    def meta_field(self, key: str, *fields: str) -> Any:
+        """``meta[key]``; given ``fields``, it must be a JSON object
+        holding each of them."""
         if key not in self.meta:
             raise self.error(f"missing key 'meta.{key}'")
-        return self.meta[key]
+        value = self.meta[key]
+        if fields and not isinstance(value, dict):
+            raise self.error(f"key 'meta.{key}' is not a JSON object")
+        for name in fields:
+            if name not in value:
+                raise self.error(f"missing key 'meta.{key}.{name}'")
+        return value
 
     def section(self, prefix: str) -> Dict[str, np.ndarray]:
         """Every entry under ``prefix``, keyed by the rest of its name."""

@@ -23,14 +23,19 @@ HTTP — no new dependencies:
     registry.
 
 ``POST /reload``
-    Reload the model checkpoint from disk and atomically swap it into
-    the engine (also triggered by mtime polling).  The blake2b weight
-    digest keys the feature cache, so no explicit flush happens — old
-    entries simply stop matching.  A checkpoint that fails to load
-    (torn file, wrong version) or whose input width differs from the
-    served model's is reported and the old model keeps serving; a
-    request can never observe a half-swapped model because the swap
-    takes the engine's write lock.
+    Reload the model checkpoint from disk, extract every served
+    design's features under it while the old model keeps serving, and
+    atomically swap weights and features into the engine (also
+    triggered by mtime polling); the reply comes once the new model is
+    published warm.  The blake2b weight digest keys the feature cache,
+    so no explicit flush happens — old entries simply stop matching.
+    A checkpoint that fails to load (torn file, wrong version, a
+    ``meta`` that does not build a predictor) or whose input width
+    differs from the served model's, or a model whose warm fails, is
+    reported and the old model keeps serving; a request can never
+    observe a half-swapped model because the swap takes the engine's
+    write lock, and every ``/predict`` reply names the generation
+    whose weights computed it.
 
 The split mirrors the learner/serving architecture of the
 circuit-training exemplar: :class:`ModelContainer` is the variable
@@ -94,19 +99,31 @@ class ServerConfig:
 class ModelContainer:
     """Versioned holder of the served predictor (the variable container).
 
-    Owns the engine and the checkpoint path; ``reload()`` stages a
-    fresh :func:`~repro.infer.load_predictor` (which validates the full
-    archive *before* building a model) and swaps it into the engine
-    under the engine's write lock.  Readers never see an intermediate
-    state; a failed load, or a model whose input width differs from
-    the served one (the served designs could not run it), leaves the
-    old model serving and is recorded for /stats.
+    Owns the engine, the checkpoint path and the served designs;
+    ``reload()`` stages a fresh :func:`~repro.infer.load_predictor`
+    (which validates the full archive *before* building a model) and
+    hands it with the served designs to
+    :meth:`~repro.infer.InferenceEngine.swap_model`, which extracts
+    their features while the old model serves, then installs weights
+    and features under the engine's write lock.  Readers never see an
+    intermediate state or a cold new model; a failed load or warm, or
+    a model whose input width differs from the served one (the served
+    designs could not run it), leaves the old model serving and is
+    recorded for /stats.
     """
 
     def __init__(self, model: TimingPredictor,
-                 model_path: Union[str, Path, None] = None) -> None:
+                 model_path: Union[str, Path, None] = None,
+                 designs: Sequence[DesignData] = ()) -> None:
         self.engine = InferenceEngine(model)
         self.model_path = Path(model_path) if model_path else None
+        #: What a reload warms before it publishes.
+        self.designs = list(designs)
+        #: Held across a whole reload (load, warm, publish): one at a
+        #: time.
+        self._reload_lock = threading.Lock()
+        #: Guards the published fields below, held only to read or
+        #: write them, so /stats never waits for a reload.
         self._lock = threading.Lock()
         self.generation = 1
         self.digest = weight_digest(model)
@@ -124,41 +141,50 @@ class ModelContainer:
             return None
 
     def reload(self, force: bool = True) -> Dict[str, object]:
-        """Swap in the checkpoint from disk (no-op if mtime unchanged
-        and not forced).  Returns a status dict; raises CheckpointError
-        only through the dict (callers serve it, they don't crash)."""
-        with self._lock:
+        """Swap in the checkpoint from disk, warm for the served
+        designs (no-op if mtime unchanged and not forced).  Returns a
+        status dict; a failure is reported through the dict (callers
+        serve it, they don't crash)."""
+        with self._reload_lock:
             if self.model_path is None:
                 return {"reloaded": False,
                         "error": "server was started without --model; "
                                  "nothing to reload from"}
             mtime = self._current_mtime()
             if not force and mtime == self._mtime:
-                return {"reloaded": False, "generation": self.generation,
-                        "digest": self.digest}
-            old_digest = self.digest
+                return {"reloaded": False, **self.published()}
             try:
                 model = load_predictor(
                     self.model_path,
                     in_features=self.engine.model.init_config["in_features"])
-            except CheckpointError as exc:
-                self.failed_reloads += 1
-                self.last_reload_error = str(exc)
+                digest = weight_digest(model)
+                self.engine.swap_model(model, warm=self.designs)
+            # repro-check: disable=bare-except -- a checkpoint that fails to load or warm is a failed reload, reported while the old model keeps serving
+            except Exception as exc:  # noqa: BLE001 - reported to the client
+                if not isinstance(exc, CheckpointError):
+                    traceback.print_exc()   # a warm that raised
+                with self._lock:
+                    self.failed_reloads += 1
+                    self.last_reload_error = str(exc)
                 return {"reloaded": False, "error": str(exc),
-                        "error_type": "CheckpointError",
-                        "generation": self.generation,
-                        "digest": self.digest}
-            # Publish the generation last: a reader that sees the new
-            # generation must also see the new digest.
-            digest = weight_digest(model)
-            self.engine.swap_model(model)
+                        "error_type": type(exc).__name__,
+                        **self.published()}
             self._mtime = mtime
-            self.digest = digest
-            self.generation += 1
-            self.reloads += 1
-            self.last_reload_error = None
+            with self._lock:
+                old_digest = self.digest
+                # Publish the generation last: a reader that sees the
+                # new generation must also see the new digest.
+                self.digest = digest
+                self.generation = self.engine.generation
+                self.reloads += 1
+                self.last_reload_error = None
             return {"reloaded": True, "generation": self.generation,
-                    "old_digest": old_digest, "digest": self.digest}
+                    "old_digest": old_digest, "digest": digest}
+
+    def published(self) -> Dict[str, object]:
+        """The served ``generation`` and its ``digest``, read together."""
+        with self._lock:
+            return {"generation": self.generation, "digest": self.digest}
 
     def poll(self) -> Dict[str, object]:
         """mtime-triggered reload (the polling thread's entry point)."""
@@ -285,7 +311,7 @@ class PredictionService:
             "std": prediction.std.tolist()
             if prediction.std is not None else None,
             "coalesced": batched_with,
-            "generation": self.container.generation,
+            "generation": prediction.generation,
         }
         return 200, body
 
@@ -294,8 +320,7 @@ class PredictionService:
         return 200, {
             "status": "ok",
             "designs": len(self.designs),
-            "generation": self.container.generation,
-            "digest": self.container.digest,
+            **self.container.published(),
         }
 
     def stats(self) -> Tuple[int, Dict[str, object]]:
@@ -324,7 +349,7 @@ class PredictionService:
 
     def reload(self) -> Tuple[int, Dict[str, object]]:
         status = self.container.reload(force=True)
-        if status.get("error_type") == "CheckpointError":
+        if status.get("error_type"):
             return 500, status
         if status.get("error"):
             return 400, status
@@ -433,7 +458,7 @@ class PredictionServer:
                  model_path: Union[str, Path, None] = None,
                  config: Optional[ServerConfig] = None) -> None:
         self.config = config or ServerConfig()
-        self.container = ModelContainer(model, model_path)
+        self.container = ModelContainer(model, model_path, designs)
         self.service = PredictionService(designs, self.container,
                                          self.config)
         handler = type("BoundHandler", (_Handler,),
@@ -505,10 +530,10 @@ class PredictionServer:
 
 def warm_up(service: PredictionService,
             names: Optional[List[str]] = None) -> int:
-    """Prime the feature cache with one fused sweep over ``names``
-    (default: every served design).  Returns the number warmed."""
+    """Prime the feature cache for ``names`` (default: every served
+    design) with the staged warm a reload runs.  Returns the number
+    warmed."""
     designs = [service.designs[n] for n in (names or
                                             sorted(service.designs))]
-    if designs:
-        service.container.engine.predict_many(designs)
+    service.container.engine.warm(designs)
     return len(designs)

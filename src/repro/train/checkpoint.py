@@ -129,7 +129,7 @@ def _flatten_optimizer(state: Mapping[str, Any],
 
 def _inflate_optimizer(archive: Archive) -> Dict[str, Any]:
     """Rebuild the optimiser state dict from meta + archive arrays."""
-    meta = archive.meta_field("optimizer")
+    meta = archive.meta_field("optimizer", "scalars", "lists")
     state: Dict[str, Any] = dict(meta["scalars"])
     for key, spec in meta["lists"].items():
         buffers: List[Optional[np.ndarray]] = [None] * int(spec["len"])

@@ -262,3 +262,68 @@ class TestSwapModel:
         np.testing.assert_allclose(predict_one(engine, designs[0]).mean,
                                    narrow.predict(designs[0]),
                                    atol=1e-10)
+
+
+def _trained(designs, **kwargs):
+    m = TimingPredictor(designs[0].graph.features.shape[1], **kwargs)
+    m.finalize_node_priors(designs)
+    return m
+
+
+class TestStagedSwap:
+    """``swap_model(model, warm=designs)`` extracts the designs' features
+    under the new weights before it publishes them."""
+
+    @staticmethod
+    def _no_extraction(monkeypatch):
+        def boom(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("extractor ran")
+
+        monkeypatch.setattr(engine_mod, "cnn_forward", boom)
+
+    def test_swap_publishes_warm_features(self, model, designs,
+                                          monkeypatch):
+        other = _trained(designs, seed=11)
+        engine = InferenceEngine(model)
+        engine.warm(designs)
+        engine.swap_model(other, warm=designs)
+        self._no_extraction(monkeypatch)
+        out = engine.predict_many(designs)
+        for design in designs:
+            assert out[design.name].generation == 2
+            np.testing.assert_allclose(out[design.name].mean,
+                                       other.predict(design), atol=1e-10)
+        assert engine.cache_stats()["misses"] == 0
+
+    def test_identical_weights_are_not_re_extracted(self, model, designs,
+                                                    monkeypatch, tmp_path):
+        from repro.infer import load_predictor, save_predictor
+
+        engine = InferenceEngine(model)
+        assert engine.warm(designs) == len(designs)
+        save_predictor(model, tmp_path / "model.npz")
+        same = load_predictor(tmp_path / "model.npz")
+        self._no_extraction(monkeypatch)
+        engine.swap_model(same, warm=designs)
+        assert engine.generation == 2
+        assert engine.warm(designs) == 0
+        engine.predict_many(designs)
+
+    def test_incompatible_swap_warms_with_its_own_columns(
+            self, model, designs, monkeypatch):
+        """A swap to a model with another conv1 geometry warms with
+        columns built for its own kernel: afterwards its predictions
+        need no extraction and match the model's own."""
+        narrow = _trained(designs, seed=5, cnn_channels=4)
+        engine = InferenceEngine(model)
+        engine.warm(designs)
+        structs = engine.stats()["structs"]["entries"]
+        engine.swap_model(narrow, warm=designs)
+        assert engine.stats()["structs"]["entries"] == 0
+        assert structs >= 1
+        self._no_extraction(monkeypatch)
+        out = engine.predict_many(designs)
+        for design in designs:
+            np.testing.assert_allclose(out[design.name].mean,
+                                       narrow.predict(design), atol=1e-10)
+

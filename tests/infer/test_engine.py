@@ -64,6 +64,24 @@ class TestPredictEquivalence:
                                         "entries": 0}
 
 
+class TestColdExtraction:
+    def test_per_design_cnn_pass_equals_stacked(self, model, designs):
+        """A cold multi-design extraction runs the CNN once per design;
+        its layout features equal one ``cnn_forward`` over every
+        design's stacked images, bit for bit."""
+        from repro.infer.engine import cnn_forward
+
+        engine = InferenceEngine(model)
+        engine.predict_many(designs)   # cold: one extraction for both
+        cnn = model.extractor.cnn
+        stacked = cnn_forward(cnn, np.concatenate(
+            [d.path_image_stack() for d in designs]))
+        digest = weight_digest(model)
+        layout = np.concatenate([engine.cache.lookup(d, digest)[0]
+                                 for d in designs])[:, -stacked.shape[1]:]
+        np.testing.assert_array_equal(layout, stacked)
+
+
 class TestPredictMany:
     def test_fused_matches_per_design(self, model, designs, reference):
         engine = InferenceEngine(model)
@@ -274,7 +292,10 @@ class TestSerialization:
     def test_missing_key_is_named(self, model, tmp_path):
         """Dropping any one entry is refused, naming it — a weight as
         much as a prior (a missing weight must not be served at its
-        freshly initialised value)."""
+        freshly initialised value) — and so is a ``meta.init_config``
+        that does not build a predictor."""
+        import json
+
         import numpy as np_
 
         from repro.nn import CheckpointError
@@ -283,15 +304,32 @@ class TestSerialization:
         save_predictor(model, path)
         with np_.load(path, allow_pickle=False) as archive:
             saved = {k: archive[k] for k in archive.files}
-        for victim in (next(k for k in saved
-                            if k.startswith("prior::log_var")),
-                       "param::readout.w_base"):
+
+        def without(victim):
             arrays = dict(saved)
             del arrays[victim]
+            return arrays
+
+        def with_init_config(init_config):
+            meta = json.loads(str(saved["meta"]))
+            meta["init_config"] = init_config
+            return {**saved, "meta": np_.array(json.dumps(meta))}
+
+        victim = next(k for k in saved if k.startswith("prior::log_var"))
+        cases = [
+            (without(victim), victim),
+            (without("param::readout.w_base"), "param::readout.w_base"),
+            (with_init_config({**model.init_config, "dropout": 0.1}),
+             "meta.init_config"),
+            (with_init_config([model.init_config["in_features"]]),
+             "meta.init_config"),
+            (with_init_config({"seed": 0}), "meta.init_config.in_features"),
+        ]
+        for arrays, named in cases:
             np_.savez_compressed(path, **arrays)
             with pytest.raises(CheckpointError) as excinfo:
                 load_predictor(path)
-            assert victim in str(excinfo.value)
+            assert named in str(excinfo.value)
 
     def test_corrupt_archive_raises_typed_error(self, tmp_path):
         from repro.nn import CheckpointError

@@ -261,23 +261,46 @@ class TestHotReload:
 
     def test_corrupt_checkpoint_keeps_old_model(self, designs, model,
                                                 model_file, reference):
+        """A torn file, or a ``meta.init_config`` that does not build a
+        predictor (an unknown key, or not a JSON object), is refused
+        with a reply: the old model keeps serving and /stats counts
+        each failure."""
+        with np.load(model_file, allow_pickle=False) as archive:
+            saved = {k: archive[k] for k in archive.files}
+
+        def with_init_config(init_config):
+            meta = json.loads(str(saved["meta"]))
+            meta["init_config"] = init_config
+            np.savez(model_file, **{**saved,
+                                    "meta": np.array(json.dumps(meta))})
+
+        corruptions = [
+            lambda: model_file.write_bytes(b"garbage, not a zip archive"),
+            lambda: with_init_config({**model.init_config, "dropout": 0.1}),
+            lambda: with_init_config("not an object"),
+        ]
         with self._serve(designs, model, model_file) as srv:
             with ServingClient(srv.host, srv.port) as c:
-                model_file.write_bytes(b"garbage, not a zip archive")
-                with pytest.raises(ServingError) as excinfo:
-                    c.reload()
-                # The old model must still serve, and /stats must
-                # report the failure.
-                body = c.predict(designs[0].name)
-                stats = c.stats()
-        assert excinfo.value.status == 500
-        assert excinfo.value.body["error_type"] == "CheckpointError"
-        assert stats["model"]["failed_reloads"] == 1
-        assert stats["model"]["last_reload_error"]
-        assert stats["model"]["generation"] == 1
-        np.testing.assert_allclose(np.asarray(body["mean"]),
-                                   reference[designs[0].name],
-                                   atol=ATOL)
+                for failed, corrupt in enumerate(corruptions, start=1):
+                    corrupt()
+                    with pytest.raises(ServingError) as excinfo:
+                        c.reload()
+                    # The old model must still serve, and /stats must
+                    # report the failure.
+                    body = c.predict(designs[0].name)
+                    stats = c.stats()
+                    assert excinfo.value.status == 500
+                    assert excinfo.value.body["error_type"] == \
+                        "CheckpointError"
+                    if failed > 1:
+                        assert "meta.init_config" in str(excinfo.value)
+                    assert stats["model"]["failed_reloads"] == failed
+                    assert stats["model"]["last_reload_error"]
+                    assert stats["model"]["generation"] == 1
+                    assert body["generation"] == 1
+                    np.testing.assert_allclose(
+                        np.asarray(body["mean"]),
+                        reference[designs[0].name], atol=ATOL)
 
     def test_reload_refuses_a_model_the_designs_cannot_run(
             self, designs, model, model_file, reference):
@@ -394,6 +417,229 @@ class TestHotReload:
             for t in threads:
                 t.join()
         assert errors == []
+
+
+class TestWarmReload:
+    """A reload extracts the served designs' features under the new
+    weights while the old model keeps serving, and publishes weights
+    and features together."""
+
+    @staticmethod
+    def _serve(designs, model, model_file, window=2.0):
+        srv = PredictionServer(
+            designs, model, model_path=model_file,
+            config=ServerConfig(port=0, batch_window_ms=window))
+        warm_up(srv.service)
+        return srv
+
+    @staticmethod
+    def _no_extraction(monkeypatch):
+        import repro.infer.engine as engine_mod
+
+        def boom(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("extractor ran")
+
+        monkeypatch.setattr(engine_mod, "cnn_forward", boom)
+
+    def test_reload_publishes_a_warm_model(self, designs, model,
+                                           other_model, model_file,
+                                           monkeypatch):
+        with self._serve(designs, model, model_file) as srv:
+            save_predictor(other_model, model_file)
+            status = srv.container.reload()
+            self._no_extraction(monkeypatch)
+            with ServingClient(srv.host, srv.port) as c:
+                bodies = [c.predict(d.name) for d in designs]
+                stats = c.stats()
+        assert status["generation"] == 2
+        for design, body in zip(designs, bodies):
+            assert body["generation"] == 2
+            np.testing.assert_allclose(np.asarray(body["mean"]),
+                                       other_model.predict(design),
+                                       atol=ATOL)
+        assert stats["engine"]["features"]["misses"] == 0
+
+    def test_reload_of_identical_weights_runs_no_extraction(
+            self, designs, model, model_file, monkeypatch):
+        with self._serve(designs, model, model_file) as srv:
+            self._no_extraction(monkeypatch)
+            status = srv.container.reload()
+            out = srv.container.engine.predict_many(designs)
+        assert status["reloaded"] is True
+        assert status["generation"] == 2
+        assert status["digest"] == status["old_digest"]
+        assert {p.generation for p in out.values()} == {2}
+
+    def test_request_during_the_warm_is_answered_by_the_old_model(
+            self, designs, model, other_model, model_file, reference,
+            monkeypatch):
+        import repro.infer.engine as engine_mod
+
+        warming, release = threading.Event(), threading.Event()
+        original = engine_mod.cnn_forward
+
+        def blocked(cnn, *args, **kwargs):
+            if cnn is not model.extractor.cnn:   # the new model's warm
+                warming.set()
+                release.wait(30.0)
+            return original(cnn, *args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "cnn_forward", blocked)
+        with self._serve(designs, model, model_file) as srv:
+            save_predictor(other_model, model_file)
+            statuses = []
+            reloader = threading.Thread(
+                target=lambda: statuses.append(srv.container.reload()))
+            reloader.start()
+            try:
+                assert warming.wait(30.0), "the reload never warmed"
+                with ServingClient(srv.host, srv.port, timeout=5.0) as c:
+                    body = c.predict(designs[0].name)
+                    health = c.healthz()
+            finally:
+                release.set()
+                reloader.join(30.0)
+        assert body["generation"] == 1
+        assert health["generation"] == 1
+        np.testing.assert_allclose(np.asarray(body["mean"]),
+                                   reference[designs[0].name], atol=ATOL)
+        assert statuses[0]["generation"] == 2
+
+    @pytest.mark.parametrize("window", [2.0, 0.0])
+    def test_reply_names_the_generation_that_computed_it(
+            self, designs, model, other_model, model_file, reference,
+            monkeypatch, window):
+        """A reload that publishes between a request's sweep and its
+        reply does not relabel generation 1's values as generation 2."""
+        with self._serve(designs, model, model_file, window) as srv:
+            engine = srv.container.engine
+            sweep = engine.predict_many
+            reloads = []
+
+            def sweep_then_reload(*args, **kwargs):
+                out = sweep(*args, **kwargs)
+                if not reloads:
+                    save_predictor(other_model, model_file)
+                    reloads.append(srv.container.reload())
+                return out
+
+            monkeypatch.setattr(engine, "predict_many", sweep_then_reload)
+            status, body = srv.service.predict({"design": designs[0].name})
+        assert status == 200
+        assert reloads[0]["generation"] == 2
+        assert body["generation"] == 1
+        np.testing.assert_allclose(np.asarray(body["mean"]),
+                                   reference[designs[0].name], atol=ATOL)
+
+    def test_stats_answers_while_a_reload_loads(self, designs, model,
+                                                other_model, model_file,
+                                                monkeypatch):
+        import time
+
+        from repro.serve import server as server_mod
+
+        loading, release = threading.Event(), threading.Event()
+        load = server_mod.load_predictor
+
+        def blocked(*args, **kwargs):
+            loading.set()
+            release.wait(30.0)
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(server_mod, "load_predictor", blocked)
+        with self._serve(designs, model, model_file) as srv:
+            save_predictor(other_model, model_file)
+            reloader = threading.Thread(target=srv.container.reload)
+            reloader.start()
+            try:
+                assert loading.wait(30.0), "the reload never loaded"
+                with ServingClient(srv.host, srv.port, timeout=5.0) as c:
+                    start = time.monotonic()
+                    stats = c.stats()
+                    elapsed = time.monotonic() - start
+            finally:
+                release.set()
+                reloader.join(30.0)
+            generation = srv.container.generation
+        assert elapsed < 1.0
+        assert stats["model"]["generation"] == 1
+        assert generation == 2
+
+    def test_reply_generation_matches_its_values_under_reloads(
+            self, designs, model, other_model, model_file):
+        """More request threads than cores, a short switch interval and
+        reloads flipping between two models: every reply's values are
+        those of the generation it names (odd: ``model``, even:
+        ``other_model``)."""
+        import sys
+
+        refs = [{d.name: m.predict(d) for d in designs}
+                for m in (model, other_model)]
+        bad, stop = [], threading.Event()
+
+        def hammer(i):
+            with ServingClient(srv.host, srv.port, timeout=60.0) as c:
+                k = 0
+                while not stop.is_set():
+                    name = designs[(i + k) % len(designs)].name
+                    k += 1
+                    try:
+                        body = c.predict(name)
+                    except ServingError as exc:
+                        bad.append((name, exc.status))
+                        continue
+                    want = refs[(body["generation"] - 1) % 2][name]
+                    if not np.allclose(body["mean"], want, atol=ATOL):
+                        bad.append((name, body["generation"]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with self._serve(designs, model, model_file) as srv:
+                threads = [threading.Thread(target=hammer, args=(i,))
+                           for i in range(4)]
+                for t in threads:
+                    t.start()
+                try:
+                    for flip in range(6):
+                        save_predictor(other_model if flip % 2 == 0
+                                       else model, model_file)
+                        assert srv.container.reload()["reloaded"]
+                finally:
+                    stop.set()
+                    for t in threads:
+                        t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
+
+    def test_failed_warm_keeps_old_model(self, designs, model,
+                                         other_model, model_file,
+                                         reference, monkeypatch):
+        """A model whose warm raises is a failed reload: answered with a
+        500, counted, and generation 1 keeps serving."""
+        import repro.infer.engine as engine_mod
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("warm exploded")
+
+        with self._serve(designs, model, model_file) as srv:
+            save_predictor(other_model, model_file)
+            monkeypatch.setattr(engine_mod, "cnn_forward", boom)
+            with ServingClient(srv.host, srv.port) as c:
+                with pytest.raises(ServingError) as excinfo:
+                    c.reload()
+                body = c.predict(designs[0].name)
+                stats = c.stats()
+        assert excinfo.value.status == 500
+        assert excinfo.value.body["error_type"] == "RuntimeError"
+        assert "warm exploded" in str(excinfo.value)
+        assert stats["model"]["failed_reloads"] == 1
+        assert stats["model"]["generation"] == 1
+        assert body["generation"] == 1
+        np.testing.assert_allclose(np.asarray(body["mean"]),
+                                   reference[designs[0].name], atol=ATOL)
 
 
 class TestConfigAndLifecycle:

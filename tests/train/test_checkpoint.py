@@ -121,15 +121,36 @@ class TestCheckpointArchive:
         trainer = make_trainer(tiny_designs, in_features)
         path = tmp_path / CHECKPOINT_NAME
         trainer.save_checkpoint(step=0, path=path)
+        saved = path.read_bytes()
 
         def drop_opt_buffer(staged):
             meta = json.loads(str(staged["meta"]))
             i = meta["optimizer"]["lists"]["m"]["present"][0]
             del staged[f"opt::m::{i}"]
 
-        _rewrite_archive(path, drop_opt_buffer)
-        with pytest.raises(CheckpointError, match="missing key 'opt::m::"):
-            load_checkpoint(path)
+        def edit_optimizer_meta(edit):
+            def mutate(staged):
+                meta = json.loads(str(staged["meta"]))
+                meta["optimizer"] = edit(meta["optimizer"])
+                staged["meta"] = np.array(json.dumps(meta))
+            return mutate
+
+        def without_lists(optimizer):
+            del optimizer["lists"]
+            return optimizer
+
+        cases = [
+            (drop_opt_buffer, "missing key 'opt::m::"),
+            (edit_optimizer_meta(without_lists),
+             "missing key 'meta.optimizer.lists'"),
+            (edit_optimizer_meta(lambda optimizer: ["Adam"]),
+             "key 'meta.optimizer' is not a JSON object"),
+        ]
+        for mutate, message in cases:
+            path.write_bytes(saved)
+            _rewrite_archive(path, mutate)
+            with pytest.raises(CheckpointError, match=message):
+                load_checkpoint(path)
 
     def test_corrupt_archive_raises_typed_error(self, tmp_path):
         path = tmp_path / CHECKPOINT_NAME
