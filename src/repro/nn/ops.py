@@ -12,9 +12,12 @@ holding two plain numpy functions:
   ``out``.  An entry may be ``None`` where ``need[i]`` is false (the
   caller ignores gradients of inputs that require none).
 
-``state`` is a dict the forward and backward of one node share: the
-forward leaves what the backward needs there (conv columns), and both
-keep scratch buffers in it.  Both execution modes run these same
+``state`` is a dict the forward and backward of one node share: both
+keep scratch buffers in it, and a caller may seed it with inputs the
+op would otherwise recompute (serving's cached conv columns).  No
+forward leaves whole-batch intermediates there for its backward:
+``conv2d`` unfolds its columns a chunk of samples at a time and the
+backward unfolds them again.  Both execution modes run these same
 functions, so they compute the same numbers by construction:
 
 - **eager** — :func:`repro.nn.tensor.apply` runs ``forward`` with
@@ -110,7 +113,8 @@ def im2col(x: np.ndarray, kernel: Tuple[int, int], stride: int,
     c*kh*kw, oh*ow)`` the result is the GEMM operand of ``conv2d`` at
     no cost.  With ``state`` the padded staging buffer (borders zeroed
     once) and the column buffer are kept there and reused by later
-    calls of the same shape.
+    calls of the same shape or of fewer samples, which use their
+    leading rows.
     """
     state = {} if state is None else state
     n, c, h, w = x.shape
@@ -120,6 +124,7 @@ def im2col(x: np.ndarray, kernel: Tuple[int, int], stride: int,
         if xpad is None:
             xpad = state["xpad"] = np.zeros(
                 (n, c, h + 2 * padding, w + 2 * padding), x.dtype)
+        xpad = xpad[:n]
         xpad[:, :, padding:padding + h, padding:padding + w] = x
         x = xpad
     oh = (x.shape[2] - kh) // stride + 1
@@ -128,7 +133,7 @@ def im2col(x: np.ndarray, kernel: Tuple[int, int], stride: int,
     patches = np.lib.stride_tricks.as_strided(
         x, shape=(n, c, kh, kw, oh, ow),
         strides=(s0, s1, s2, s3, s2 * stride, s3 * stride))
-    cols = _scratch(state, "cols", patches.shape, x.dtype)
+    cols = _scratch(state, "cols", patches.shape, x.dtype)[:n]
     np.copyto(cols, patches)
     return cols
 
@@ -445,60 +450,108 @@ def _log_softmax_grad(g, ins, out, attrs, need, state):
 # ----------------------------------------------------------------------
 # Convolution and pooling (NCHW)
 # ----------------------------------------------------------------------
+#: About how many bytes of im2col columns ``conv2d`` unfolds at a time,
+#: so that each chunk's GEMM reads columns still in cache.
+_CHUNK_BYTES = 1 << 20
+
+
+def _conv_chunks(x: np.ndarray, w: np.ndarray, attrs
+                 ) -> Tuple[int, int, List[Tuple[int, int]]]:
+    """``(oh, ow, chunks)``: the output size, and the ``(lo, hi)``
+    sample ranges the forward and the backward of ``conv2d`` share."""
+    n, c, h, wd = x.shape
+    kh, kw = w.shape[2], w.shape[3]
+    stride, padding = attrs["stride"], attrs["padding"]
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (wd + 2 * padding - kw) // stride + 1
+    per_sample = c * kh * kw * oh * ow * x.dtype.itemsize
+    step = max(1, _CHUNK_BYTES // per_sample)
+    return oh, ow, [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
 def _conv2d(ins, attrs, out, state):
     """GEMM over im2col columns; ``ins`` is ``(x, weight[, bias])``.
 
-    A caller that convolves one input under many weight versions
-    (serving) seeds ``state["cached_cols"]`` with its :func:`im2col`
-    columns and skips the unfold.  A compiled replay's state never
-    holds them, so every replay unfolds its current input.
+    The batch is unfolded and multiplied a chunk of about
+    ``_CHUNK_BYTES`` of columns at a time, into one reused column
+    buffer, so each chunk's GEMM reads columns still in cache and no
+    whole-batch column buffer exists.  A caller that convolves one
+    input under many weight versions (serving) seeds
+    ``state["cached_cols"]`` with its :func:`im2col` columns; the
+    forward is then one batched GEMM over them.  A compiled replay's
+    state never holds them, so every replay unfolds its current input.
     """
     x, w = ins[0], ins[1]
     c_out, c_in, kh, kw = w.shape
-    cols = state.get("cached_cols")
-    if cols is None:
-        cols = im2col(x, (kh, kw), attrs["stride"], attrs["padding"], state)
-    n, oh, ow = x.shape[0], cols.shape[4], cols.shape[5]
-    # Batched GEMM (BLAS): (o,k) @ (n,k,l) -> (n,o,l).
-    res = np.matmul(w.reshape(c_out, c_in * kh * kw),
-                    cols.reshape(n, c_in * kh * kw, oh * ow),
-                    out=None if out is None
-                    else out.reshape(n, c_out, oh * ow))
-    if len(ins) == 3:
-        np.add(res, ins[2][None, :, None], out=res)
-    return res.reshape(n, c_out, oh, ow)
+    n, ckk = x.shape[0], c_in * kh * kw
+    oh, ow, chunks = _conv_chunks(x, w, attrs)
+    if out is None:
+        out = np.empty((n, c_out, oh, ow), np.result_type(x, w))
+    res = out.reshape(n, c_out, oh * ow)
+    cached = state.get("cached_cols")
+    if cached is not None:
+        chunks = [(0, n)]
+    for lo, hi in chunks:
+        cols = cached if cached is not None else im2col(
+            x[lo:hi], (kh, kw), attrs["stride"], attrs["padding"], state)
+        # Batched GEMM (BLAS): (o,k) @ (m,k,l) -> (m,o,l).
+        part = np.matmul(w.reshape(c_out, ckk),
+                         cols.reshape(hi - lo, ckk, oh * ow),
+                         out=res[lo:hi])
+        if len(ins) == 3:
+            np.add(part, ins[2][None, :, None], out=part)
+    return out
 
 
 def _conv2d_grad(g, ins, out, attrs, need, state):
+    """The forward's chunks again, each unfolded anew (or sliced from
+    cached columns): the forward keeps no columns for it.
+
+    Per chunk: the weight gradient's per-sample products, and the
+    column gradient (one GEMM per sample) folded back onto the chunk's
+    rows of the padded input gradient with ``kh*kw`` adds.  The
+    products are summed over the batch once every chunk is done, so
+    each element goes through the operations of a whole-batch kernel
+    in the same order.
+    """
     x, w = ins[0], ins[1]
     stride, padding = attrs["stride"], attrs["padding"]
-    cols = state.get("cached_cols")
-    if cols is None:
-        cols = state["cols"]
-    n, c, kh, kw, oh, ow = cols.shape
-    c_out, ckk = w.shape[0], c * kh * kw
+    n, c, h, wd = x.shape
+    c_out, _, kh, kw = w.shape
+    ckk = c * kh * kw
+    oh, ow, chunks = _conv_chunks(x, w, attrs)
     g3 = g.reshape(n, c_out, oh * ow)
+    cached = state.get("cached_cols")
     g_x = g_w = g_b = None
-    if need[1]:
-        g_w = np.matmul(g3, cols.reshape(n, ckk, oh * ow)
-                        .transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
     if len(ins) == 3 and need[2]:
         g_b = g3.sum(axis=(0, 2))
+    if need[1]:
+        products = _scratch(state, "g_w_samples", (n, c_out, ckk), g.dtype)
     if need[0]:
-        g_cols = np.matmul(w.reshape(c_out, ckk).T, g3,
-                           out=_scratch(state, "g_cols", (n, ckk, oh * ow),
-                                        g.dtype))
-        # Fold the column gradient back onto the (padded) input.
-        h, wd = x.shape[2], x.shape[3]
         gpad = _scratch(state, "g_pad", (n, c, h + 2 * padding,
                                          wd + 2 * padding), g.dtype,
                         zero=True)
-        patches = g_cols.reshape(n, c, kh, kw, oh, ow)
-        for i in range(kh):
-            for j in range(kw):
-                gpad[:, :, i:i + stride * oh:stride,
-                     j:j + stride * ow:stride] += patches[:, :, i, j]
+    for lo, hi in chunks:
+        m = hi - lo
+        if need[1]:
+            cols = cached[lo:hi] if cached is not None else im2col(
+                x[lo:hi], (kh, kw), stride, padding, state)
+            np.matmul(g3[lo:hi], cols.reshape(m, ckk, oh * ow)
+                      .transpose(0, 2, 1), out=products[lo:hi])
+        if need[0]:
+            g_cols = _scratch(state, "g_cols", (m, ckk, oh * ow),
+                              g.dtype)[:m]
+            np.matmul(w.reshape(c_out, ckk).T, g3[lo:hi], out=g_cols)
+            # Fold the column gradient back onto the (padded) input.
+            patches = g_cols.reshape(m, c, kh, kw, oh, ow)
+            for i in range(kh):
+                for j in range(kw):
+                    gpad[lo:hi, :, i:i + stride * oh:stride,
+                         j:j + stride * ow:stride] += patches[:, :, i, j]
+    if need[0]:
         g_x = gpad[:, :, padding:padding + h, padding:padding + wd]
+    if need[1]:
+        g_w = products.sum(axis=0).reshape(w.shape)
     return (g_x, g_w) if len(ins) == 2 else (g_x, g_w, g_b)
 
 
@@ -547,6 +600,9 @@ def _max_pool2d_grad(g, ins, out, attrs, need, state):
     hit = _scratch(state, "hit", out.shape, np.bool_)
     free.fill(True)
     overlapping = attrs["stride"] < attrs["kernel"]
+    # The integer type of g's width: a product with ``hit`` keeps g's
+    # bits (-0.0 included) where it is 1 and writes +0.0 where it is 0.
+    bits = np.dtype(f"i{g.dtype.itemsize}")
     # NaN equals nothing: windows still free after the equality pass
     # hold NaN, and the second pass claims their first NaN.
     for match in (functools.partial(np.equal, out), np.isnan):
@@ -557,10 +613,14 @@ def _max_pool2d_grad(g, ins, out, attrs, need, state):
             free ^= hit
             if overlapping:
                 np.add(g_part, g, out=g_part, where=hit)
-            else:
-                # Each cell belongs to one window: assigning keeps a
-                # -0.0 gradient, which adding to the zeroed buffer loses.
+            elif match is np.isnan:
                 np.copyto(g_part, g, where=hit)
+            else:
+                # Each cell belongs to one window and this pass visits
+                # it once, so the slice is written whole: assigning
+                # keeps a -0.0 gradient, which adding to the zeroed
+                # buffer loses.
+                np.multiply(g.view(bits), hit, out=g_part.view(bits))
         if not free.any():
             break
     return (g_x,)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.nn import Tensor
 from repro.nn import functional as F
+from repro.nn.ops import OPS
 
 from .test_tensor import check_gradient, numeric_grad
 
@@ -114,17 +115,38 @@ class TestPooling:
     @pytest.mark.parametrize("window, first_max", [
         ([[2.0, 2.0], [2.0, 2.0]], (0, 0)),
         ([[1.0, 3.0], [3.0, 3.0]], (0, 1)),
+        ([[1.0, np.nan], [3.0, np.nan]], (0, 1)),
     ])
     def test_max_pool_routes_ties_to_first_maximum(self, stride, window,
                                                    first_max):
         """A tied window sends its whole gradient to its first maximum
-        in row-major order, at both the non-overlapping and the
-        overlapping stride."""
+        in row-major order, and a window holding NaN to its first NaN,
+        at both the non-overlapping and the overlapping stride.
+
+        At the op, in float32 as in float64, every other cell reads
+        +0.0.  Without overlap the routed gradient keeps its bits,
+        -0.0 included; with overlap a cell's gradient is a sum that
+        starts at +0.0."""
         t = Tensor(np.array(window).reshape(1, 1, 2, 2), requires_grad=True)
         (F.max_pool2d(t, 2, stride) * 1.5).sum().backward()
         expected = np.zeros((2, 2))
         expected[first_max] = 1.5
         np.testing.assert_array_equal(t.grad[0, 0], expected)
+
+        attrs = {"kernel": 2, "stride": stride}
+        for dtype in (np.float64, np.float32):
+            x = np.array(window, dtype=dtype).reshape(1, 1, 2, 2)
+            out = OPS["max_pool2d"].forward([x], attrs, None, {})
+            for upstream in (1.5, -0.0):
+                g = np.full(out.shape, upstream, dtype)
+                (g_x,) = OPS["max_pool2d"].backward(g, [x], out, attrs,
+                                                    [True], {})
+                expected = np.zeros((2, 2), dtype)
+                expected[first_max] = upstream if stride == 2 \
+                    else 0.0 + upstream
+                assert g_x.dtype == dtype
+                assert g_x[0, 0].tobytes() == expected.tobytes(), \
+                    (dtype, upstream)
 
     def test_avg_pool_values(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)

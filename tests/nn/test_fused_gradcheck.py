@@ -4,8 +4,10 @@ Three kernels carry the training and serving math: the union-graph
 levelised sweep, the BLAS-backed ``conv2d`` (optionally fed precomputed
 im2col columns) and ``max_pool2d``.  Each is audited here with the
 :mod:`repro.check.gradcheck` harness — finite differences against the
-analytic gradients — and the sweep additionally against a per-level
-autograd composition that lives only in this file, as its test oracle.
+analytic gradients.  Two kernels are also checked against a
+composition that lives only in this file, as its test oracle: the
+sweep against a per-level autograd composition, and the cache-blocked
+``conv2d`` bit for bit against a whole-batch kernel.
 """
 
 import numpy as np
@@ -15,7 +17,8 @@ from repro.check.gradcheck import OpCase, check_case, make_sweep_fixture
 from repro.model.gnn import _plan_for, levelized_sweep
 from repro.nn import Tensor, gather_rows, no_grad, scatter_add_rows
 from repro.nn import functional as F
-from repro.nn.ops import im2col
+from repro.nn import ops
+from repro.nn.ops import OPS, im2col
 
 
 def assert_case_clean(op, label, build, atol=1e-5):
@@ -26,6 +29,32 @@ def assert_case_clean(op, label, build, atol=1e-5):
 def assert_bitwise_equal(a, b):
     assert a.shape == b.shape and a.dtype == b.dtype
     assert a.tobytes() == b.tobytes()
+
+
+def whole_batch_conv2d(x, w, b, g, stride, padding):
+    """``conv2d``'s output and x, w, b gradients as one whole-batch
+    kernel: one im2col and one batched GEMM, per-sample weight
+    products summed over axis 0, and the column gradient folded back
+    with ``kh*kw`` adds — the oracle for the cache-blocked op."""
+    n, c, h, wd = x.shape
+    c_out, _, kh, kw = w.shape
+    cols = im2col(x, (kh, kw), stride, padding)
+    oh, ow = cols.shape[4], cols.shape[5]
+    cols = cols.reshape(n, c * kh * kw, oh * ow)
+    out = np.matmul(w.reshape(c_out, -1), cols)
+    np.add(out, b[None, :, None], out=out)
+    g3 = g.reshape(n, c_out, oh * ow)
+    g_w = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0)
+    g_cols = np.matmul(w.reshape(c_out, -1).T, g3)
+    patches = g_cols.reshape(n, c, kh, kw, oh, ow)
+    gpad = np.zeros((n, c, h + 2 * padding, wd + 2 * padding))
+    for i in range(kh):
+        for j in range(kw):
+            gpad[:, :, i:i + stride * oh:stride,
+                 j:j + stride * ow:stride] += patches[:, :, i, j]
+    g_x = gpad[:, :, padding:padding + h, padding:padding + wd]
+    return (out.reshape(g.shape), np.ascontiguousarray(g_x),
+            g_w.reshape(w.shape), g3.sum(axis=(0, 2)))
 
 
 def reference_node_embeddings(gnn, graph):
@@ -79,6 +108,56 @@ class TestFusedConv2d:
             results.append((out.data, tx.grad, tw.grad, tb.grad))
         for plain, cached in zip(*results):
             assert_bitwise_equal(plain, cached)
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0),
+                                                (2, 1)])
+    def test_chunked_conv_matches_whole_batch_kernel(self, monkeypatch,
+                                                     stride, padding,
+                                                     cached):
+        """The cache-blocked op computes every output and gradient bit
+        of the whole-batch kernel, over 4 chunks with a partial last
+        one, and again on a second replay through the same state."""
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal((7, 2, 6, 6))
+        w = rng.standard_normal((3, 2, 3, 3))
+        b = rng.standard_normal(3)
+        side = (6 + 2 * padding - 3) // stride + 1
+        g = rng.standard_normal((7, 3, side, side))
+        # Two samples' columns per chunk: (0, 2) (2, 4) (4, 6) (6, 7).
+        monkeypatch.setattr(ops, "_CHUNK_BYTES",
+                            2 * 2 * 3 * 3 * side * side * x.itemsize)
+        want = whole_batch_conv2d(x, w, b, g, stride, padding)
+        attrs = {"stride": stride, "padding": padding}
+        state = {"cached_cols": im2col(x, (3, 3), stride, padding)} \
+            if cached else {}
+        out = None
+        for _ in range(2):
+            out = OPS["conv2d"].forward([x, w, b], attrs, out, state)
+            grads = OPS["conv2d"].backward(g, [x, w, b], out, attrs,
+                                           [True, True, True], state)
+            for got, ref in zip((out,) + tuple(grads), want):
+                assert_bitwise_equal(np.ascontiguousarray(got), ref)
+
+    def test_conv_state_keeps_no_whole_batch_columns(self):
+        """A compiled program keeps one state per op across replays:
+        after a forward and backward at the training step's conv1
+        shape (157 sampled paths) it holds chunk-sized columns and
+        column gradients, never the whole batch's."""
+        rng = np.random.default_rng(43)
+        x = rng.standard_normal((157, 3, 32, 32))
+        w = rng.standard_normal((6, 3, 3, 3))
+        b = rng.standard_normal(6)
+        attrs = {"stride": 1, "padding": 1}
+        state = {}
+        out = OPS["conv2d"].forward([x, w, b], attrs, None, state)
+        OPS["conv2d"].backward(np.ones_like(out), [x, w, b], out, attrs,
+                               [True, True, True], state)
+        whole_batch_columns = x.shape[0] * 3 * 3 * 3 * 32 * 32
+        for key, value in state.items():
+            while isinstance(value, np.ndarray):
+                assert value.size < whole_batch_columns, key
+                value = value.base
 
 
 class TestFusedMaxPool:
