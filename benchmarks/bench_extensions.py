@@ -7,20 +7,28 @@
 
 import numpy as np
 
-from repro.experiments.extensions import (
+from repro.experiments import (
     format_calibration,
     format_reverse_transfer,
     run_reverse_transfer,
     run_uncertainty_calibration,
 )
 
-from .conftest import bench_seed, bench_steps, record
+from .conftest import (
+    bench_seed,
+    bench_steps,
+    bench_use_cache,
+    bench_workers,
+    record,
+)
 
 
 def test_reverse_transfer(benchmark, results_dir):
     results = benchmark.pedantic(
         run_reverse_transfer,
-        kwargs={"seed": bench_seed(), "steps": bench_steps()},
+        kwargs={"seed": bench_seed(), "steps": bench_steps(),
+                "workers": bench_workers(),
+                "use_cache": bench_use_cache()},
         rounds=1, iterations=1,
     )
     record(results_dir, "ext_reverse_transfer",

@@ -48,9 +48,10 @@ def _positive_int(text: str) -> int:
 
 
 def _libraries():
-    from .experiments import make_libraries
+    """The paper's two nodes, label -> library."""
+    from .techlib import ANCHOR_NMS, NodeLadder
 
-    return make_libraries()
+    return NodeLadder(ANCHOR_NMS).libraries()
 
 
 def _parse_node_token(token: str) -> float:
@@ -151,7 +152,7 @@ def _install_stop_handlers(trainer, state):
 def cmd_train(args) -> int:
     import signal
 
-    from .experiments import build_dataset, build_ladder_dataset
+    from .experiments import build_dataset
     from .experiments.datasets import DATASET_SCALE
     from .model import TimingPredictor
     from .obs import RunLogger, default_run_dir
@@ -205,15 +206,10 @@ def cmd_train(args) -> int:
     with RunLogger(run_dir, resume=checkpoint is not None,
                    resume_step=None if checkpoint is None
                    else checkpoint.step) as logger:
-        if ladder is not None:
-            dataset = build_ladder_dataset(
-                ladder, target_label=config.target_node,
-                workers=args.build_workers,
-                use_cache=not args.no_cache, cache_dir=args.cache_dir)
-        else:
-            dataset = build_dataset(workers=args.build_workers,
-                                    use_cache=not args.no_cache,
-                                    cache_dir=args.cache_dir)
+        dataset = build_dataset(ladder, target_label=config.target_node,
+                                workers=args.build_workers,
+                                use_cache=not args.no_cache,
+                                cache_dir=args.cache_dir)
         if checkpoint is None:
             extra = {"dataset": {"scale": DATASET_SCALE["scale"],
                                  "resolution":
@@ -370,7 +366,7 @@ def cmd_predict(args) -> int:
     mc_samples = args.mc_samples
     if args.uncertainty and mc_samples <= 0:
         mc_samples = 16
-    engine = InferenceEngine(model, use_cache=not args.no_cache)
+    engine = InferenceEngine(model)
     for _ in range(max(1, args.repeat)):
         results = engine.predict_many(designs, mc_samples=mc_samples,
                                       with_uncertainty=args.uncertainty,
@@ -518,8 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also report per-endpoint predictive std")
     p.add_argument("--mc-samples", type=int, default=0,
                    help="Monte-Carlo prior samples (0 = prior mean)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the per-design feature cache")
     p.add_argument("--repeat", type=int, default=1,
                    help="repeat the prediction pass (cache warm-up "
                         "demo / profiling)")

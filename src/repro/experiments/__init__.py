@@ -3,20 +3,17 @@
 from .datasets import (
     DATASET_SCALE,
     ExperimentDataset,
-    LadderDataset,
     build_dataset,
-    build_ladder_dataset,
     ladder_split,
-    make_libraries,
 )
-from .extensions import (
-    format_calibration,
-    format_reverse_transfer,
-    run_reverse_transfer,
-    run_uncertainty_calibration,
-)
+from .extensions import format_calibration, run_uncertainty_calibration
 from .fig1 import format_fig1, run_fig1
-from .ladder import format_ladder_study, run_ladder_study
+from .ladder import (
+    format_ladder_study,
+    format_reverse_transfer,
+    run_ladder_study,
+    run_reverse_transfer,
+)
 from .fig6 import format_fig6, run_fig6, scale_gap
 from .fig8 import format_fig8, run_fig8
 from .table1 import format_table1, run_table1
@@ -32,11 +29,9 @@ from .table3 import SUBSETS, format_table3, run_table3
 __all__ = [
     "DATASET_SCALE",
     "ExperimentDataset",
-    "LadderDataset",
     "SUBSETS",
     "Table2Row",
     "build_dataset",
-    "build_ladder_dataset",
     "format_calibration",
     "format_fig1",
     "format_ladder_study",
@@ -47,7 +42,6 @@ __all__ = [
     "format_table2",
     "format_reverse_transfer",
     "format_table3",
-    "make_libraries",
     "run_fig1",
     "run_ladder_study",
     "run_reverse_transfer",

@@ -1,14 +1,18 @@
 """Dataset construction for the paper's experiments (Table 1).
 
-Builds the exact train/test split of the paper — four 130nm designs plus
-smallboom at 7nm for training, five 7nm designs for testing — through the
-full synthetic PnR flow, with joint feature normalisation fitted on the
-training graphs only.
+Builds the paper's train/test split — four 130nm designs plus
+smallboom at 7nm for training, five 7nm designs for testing — through
+the full synthetic PnR flow, with joint feature normalisation fitted on
+the training graphs only.  The split is mapped onto a
+:class:`~repro.techlib.NodeLadder`; the default is the paper's two
+anchor nodes (``NodeLadder(ANCHOR_NMS)``), and a K-node ladder or a
+large target node (reverse transfer) goes through the same builder.
 
 Because flow runs are deterministic but not free, each built design is
 cached on disk (``~/.cache/repro-dac24`` by default, see
 :mod:`repro.flow.cache`) keyed by name/node/scale/resolution/seed plus
-a code-version salt; cold builds can fan out over worker processes.
+the library set's digest and a code-version salt; cold builds can fan
+out over worker processes.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 from ..features import apply_normalization, normalize_features
 from ..flow import DesignData, build_designs
 from ..netlist import TEST_SPLIT, TRAIN_SPLIT
-from ..techlib import NodeLadder, make_asap7_library, make_sky130_library
+from ..techlib import ANCHOR_NMS, NodeLadder
 
 #: Default experiment scale knobs (see DESIGN.md section 5).
 DATASET_SCALE = {
@@ -34,85 +38,14 @@ DATASET_SCALE = {
 
 @dataclass
 class ExperimentDataset:
-    """The paper's dataset: train designs (two nodes) + 7nm test designs."""
+    """Train designs (every ladder node) + test designs at the target."""
 
     train: List[DesignData]
     test: List[DesignData]
     in_features: int
     norm_params: Dict[str, np.ndarray]
-
-    @property
-    def train_source(self) -> List[DesignData]:
-        return [d for d in self.train if d.node == "130nm"]
-
-    @property
-    def train_target(self) -> List[DesignData]:
-        return [d for d in self.train if d.node == "7nm"]
-
-    def by_name(self, name: str) -> DesignData:
-        for d in self.train + self.test:
-            if d.name == name:
-                return d
-        raise KeyError(name)
-
-    def subset_train(self, source_names: Sequence[str]
-                     ) -> List[DesignData]:
-        """Target designs plus the named 130nm designs (Table 3 rows)."""
-        keep = set(source_names)
-        return self.train_target + [d for d in self.train_source
-                                    if d.name in keep]
-
-
-def make_libraries():
-    """The two synthetic nodes keyed the way the dataset expects."""
-    return {"130nm": make_sky130_library(), "7nm": make_asap7_library()}
-
-
-def build_dataset(scale: float = None, resolution: int = None,
-                  seed: int = None, use_cache: bool = True,
-                  workers: int = 1,
-                  cache_dir: Union[str, Path, None] = None
-                  ) -> ExperimentDataset:
-    """Build (or load from cache) the full Table-1 dataset.
-
-    Normalisation is fitted on the training graphs and applied to the
-    test graphs; the returned dataset is ready for training.  Designs
-    are cached individually (see :class:`repro.flow.FlowCache`); cold
-    builds run in ``workers`` processes when ``workers > 1``.
-    """
-    scale = DATASET_SCALE["scale"] if scale is None else scale
-    resolution = DATASET_SCALE["resolution"] if resolution is None \
-        else resolution
-    seed = DATASET_SCALE["seed"] if seed is None else seed
-
-    names = list(TRAIN_SPLIT.items()) + [(n, "7nm") for n in TEST_SPLIT]
-    designs = build_designs(names, scale=scale, resolution=resolution,
-                            seed=seed, workers=workers,
-                            use_cache=use_cache, cache_dir=cache_dir)
-
-    train = designs[: len(TRAIN_SPLIT)]
-    test = designs[len(TRAIN_SPLIT):]
-    params = normalize_features([d.graph for d in train])
-    for d in test:
-        apply_normalization(d.graph, params)
-    return ExperimentDataset(
-        train=train,
-        test=test,
-        in_features=train[0].graph.features.shape[1],
-        norm_params=params,
-    )
-
-
-@dataclass
-class LadderDataset(ExperimentDataset):
-    """A K-node dataset built against a :class:`NodeLadder`'s chain."""
-
-    ladder: Optional[NodeLadder] = None
-    target_label: str = "7nm"
-
-    @property
-    def node_labels(self) -> List[str]:
-        return self.ladder.node_labels
+    ladder: NodeLadder
+    target_label: str
 
     @property
     def train_source(self) -> List[DesignData]:
@@ -125,6 +58,19 @@ class LadderDataset(ExperimentDataset):
     def by_node(self, label: str) -> List[DesignData]:
         return [d for d in self.train if d.node == label]
 
+    def by_name(self, name: str) -> DesignData:
+        for d in self.train + self.test:
+            if d.name == name:
+                return d
+        raise KeyError(name)
+
+    def subset_train(self, source_names: Sequence[str]
+                     ) -> List[DesignData]:
+        """Target designs plus the named source designs (Table 3 rows)."""
+        keep = set(source_names)
+        return self.train_target + [d for d in self.train_source
+                                    if d.name in keep]
+
 
 def ladder_split(ladder: NodeLadder,
                  target_label: Optional[str] = None
@@ -135,8 +81,8 @@ def ladder_split(ladder: NodeLadder,
     design) go to ``target_label`` — by default the ladder's smallest
     node; pass a large node for reverse transfer.  Source-role designs
     round-robin across the remaining nodes in chain order, so every
-    source node contributes data.  On the two-anchor ladder this
-    reproduces :func:`build_dataset`'s split exactly.
+    source node contributes data.  On the two-anchor ladder this is
+    the paper's Table-1 split.
     """
     target = ladder.target_label if target_label is None else target_label
     if target not in ladder.node_labels:
@@ -156,21 +102,26 @@ def ladder_split(ladder: NodeLadder,
     return train, test
 
 
-def build_ladder_dataset(ladder: Optional[NodeLadder] = None,
-                         target_label: Optional[str] = None,
-                         scale: float = None, resolution: int = None,
-                         seed: int = None, use_cache: bool = True,
-                         workers: int = 1,
-                         cache_dir: Union[str, Path, None] = None
-                         ) -> LadderDataset:
-    """Build the Table-1 split against a K-node ladder.
+def build_dataset(ladder: Optional[NodeLadder] = None,
+                  target_label: Optional[str] = None,
+                  scale: float = None, resolution: int = None,
+                  seed: int = None, use_cache: bool = True,
+                  workers: int = 1,
+                  cache_dir: Union[str, Path, None] = None
+                  ) -> ExperimentDataset:
+    """Build (or load from cache) the Table-1 split on a ladder.
 
-    With the default two-anchor ladder this produces byte-identical
-    designs to :func:`build_dataset` (the anchors are the real
-    libraries, so even the flow cache entries are shared).
+    ``ladder`` defaults to the paper's two anchor nodes and
+    ``target_label`` to the ladder's smallest node (see
+    :func:`ladder_split`).  Normalisation is fitted on the training
+    graphs and applied to the test graphs; the returned dataset is
+    ready for training.  Designs are cached individually (see
+    :class:`repro.flow.FlowCache`); cold builds run in ``workers``
+    processes when ``workers > 1``.
     """
-    ladder = ladder if ladder is not None \
-        else NodeLadder(node_nms=(130.0, 7.0))
+    ladder = ladder if ladder is not None else NodeLadder(ANCHOR_NMS)
+    target_label = ladder.target_label if target_label is None \
+        else target_label
     scale = DATASET_SCALE["scale"] if scale is None else scale
     resolution = DATASET_SCALE["resolution"] if resolution is None \
         else resolution
@@ -186,12 +137,11 @@ def build_ladder_dataset(ladder: Optional[NodeLadder] = None,
     params = normalize_features([d.graph for d in train])
     for d in test:
         apply_normalization(d.graph, params)
-    return LadderDataset(
+    return ExperimentDataset(
         train=train,
         test=test,
         in_features=train[0].graph.features.shape[1],
         norm_params=params,
         ladder=ladder,
-        target_label=target_label if target_label is not None
-        else ladder.target_label,
+        target_label=target_label,
     )

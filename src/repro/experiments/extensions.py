@@ -1,11 +1,11 @@
 """Extension experiments beyond the paper (DESIGN.md section 6).
 
-- :func:`run_reverse_transfer` — swap the node roles (abundant 7nm,
-  scarce 130nm) and check the framework still transfers; the paper only
-  evaluates 130nm -> 7nm.
 - :func:`run_uncertainty_calibration` — the Bayesian head yields a
   predictive distribution the paper never examines; measure whether its
   standard deviation correlates with the actual error.
+
+The other extension, reverse transfer (7nm -> 130nm), is the node
+ladder's reverse: :func:`repro.experiments.ladder.run_reverse_transfer`.
 """
 
 from __future__ import annotations
@@ -14,44 +14,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..features import GateVocabulary, normalize_features
-from ..flow import PnRFlow
 from ..model import TimingPredictor
-from ..train import OursTrainer, TrainConfig, r2_score
-from .datasets import ExperimentDataset, build_dataset, make_libraries
-
-#: The reverse split: many 7nm designs, one 130nm design, 130nm tests.
-REVERSE_TRAIN = {
-    "smallboom": "130nm",
-    "jpeg": "7nm",
-    "linkruncca": "7nm",
-    "spiMaster": "7nm",
-    "usbf_device": "7nm",
-}
-REVERSE_TEST = ("arm9", "chacha", "sha3")
-
-
-def run_reverse_transfer(seed: int = 0, steps: Optional[int] = None,
-                         resolution: int = 32) -> Dict[str, float]:
-    """Train 7nm -> 130nm and report per-design R^2 on 130nm tests."""
-    kwargs = {} if steps is None else {"steps": steps}
-    libraries = make_libraries()
-    vocab = GateVocabulary(list(libraries.values()))
-    flow = PnRFlow(libraries, vocab=vocab, resolution=resolution,
-                   seed=seed)
-    train = [flow.run(name, node) for name, node in REVERSE_TRAIN.items()]
-    test = [flow.run(name, "130nm") for name in REVERSE_TEST]
-    params = normalize_features([d.graph for d in train])
-    from ..features import apply_normalization
-
-    for d in test:
-        apply_normalization(d.graph, params)
-
-    model = TimingPredictor(train[0].graph.features.shape[1], seed=seed)
-    OursTrainer(model, train, TrainConfig(seed=seed, **kwargs)).fit()
-    results = {d.name: r2_score(d.labels, model.predict(d)) for d in test}
-    results["average"] = float(np.mean(list(results.values())))
-    return results
+from ..train import OursTrainer, TrainConfig
+from .datasets import ExperimentDataset, build_dataset
 
 
 def run_uncertainty_calibration(dataset: Optional[ExperimentDataset] = None,
@@ -93,13 +58,6 @@ def run_uncertainty_calibration(dataset: Optional[ExperimentDataset] = None,
                 else float("nan"),
         })
     return rows
-
-
-def format_reverse_transfer(results: Dict[str, float]) -> str:
-    lines = ["Reverse transfer (7nm -> 130nm), ours R^2:"]
-    for name, r2 in results.items():
-        lines.append(f"  {name:>10}: {r2:.3f}")
-    return "\n".join(lines)
 
 
 def format_calibration(rows: List[Dict[str, float]]) -> str:

@@ -8,8 +8,10 @@ generalizes the experiment to a chain of K nodes:
 - **Leave-one-node-out**: retrain with each source node removed and
   measure how much the target R^2 moves — the marginal value of each
   node's data.
-- **Reverse transfer**: flip the roles (target at the large end of the
-  chain) and check the alignment still transfers downhill-to-uphill.
+- **Reverse transfer** (:func:`run_reverse_transfer`): flip the roles
+  (target at the large end of the chain) and check the alignment still
+  transfers downhill-to-uphill.  On the default two-anchor ladder this
+  is the 7nm -> 130nm extension experiment.
 
 Per-node metrics land in the run manifest (``per_node``) and summary
 via the supplied :class:`~repro.obs.RunLogger`, so ``repro.cli
@@ -24,23 +26,24 @@ import numpy as np
 
 from ..model import TimingPredictor
 from ..obs import NullRunLogger
-from ..techlib import DEFAULT_LADDER_NMS, NodeLadder
+from ..techlib import ANCHOR_NMS, DEFAULT_LADDER_NMS, NodeLadder
 from ..train import OursTrainer, TrainConfig, r2_score
-from .datasets import LadderDataset, build_ladder_dataset
+from .datasets import ExperimentDataset, build_dataset
 
-__all__ = ["format_ladder_study", "run_ladder_study"]
+__all__ = ["format_ladder_study", "format_reverse_transfer",
+           "run_ladder_study", "run_reverse_transfer"]
 
 
-def _train_and_score(dataset: LadderDataset, nodes: List[str],
-                     target: str, seed: int,
-                     config_kwargs: Dict[str, object]
+def _train_and_score(dataset: ExperimentDataset, nodes: List[str],
+                     target: str, seed: int, steps: Optional[int]
                      ) -> Dict[str, float]:
     """Train on the given node subset, return per-test-design R^2."""
     keep = set(nodes)
     train = [d for d in dataset.train if d.node in keep]
     model = TimingPredictor(dataset.in_features, seed=seed)
     config = TrainConfig(seed=seed, nodes=list(nodes),
-                         target_node=target, **config_kwargs)
+                         target_node=target,
+                         **({} if steps is None else {"steps": steps}))
     OursTrainer(model, train, config).fit()
     results = {d.name: float(r2_score(d.labels, model.predict(d)))
                for d in dataset.test}
@@ -48,8 +51,28 @@ def _train_and_score(dataset: LadderDataset, nodes: List[str],
     return results
 
 
+def run_reverse_transfer(ladder: Optional[NodeLadder] = None,
+                         steps: Optional[int] = None, seed: int = 0,
+                         resolution: Optional[int] = None,
+                         workers: int = 1, use_cache: bool = True,
+                         cache_dir=None) -> Dict[str, float]:
+    """Train toward the ladder's *largest* node; per-test-design R^2.
+
+    The dataset is :func:`build_dataset` with the target at the large
+    end (default ladder: the paper's two nodes, so 7nm -> 130nm), built
+    through the flow cache at the dataset seed; ``seed`` seeds only the
+    model and the trainer.  Every test design is scored.
+    """
+    ladder = ladder if ladder is not None else NodeLadder(ANCHOR_NMS)
+    big = ladder.node_labels[0]
+    dataset = build_dataset(ladder, target_label=big,
+                            resolution=resolution, use_cache=use_cache,
+                            workers=workers, cache_dir=cache_dir)
+    return _train_and_score(dataset, ladder.node_labels, big, seed, steps)
+
+
 def run_ladder_study(ladder: Optional[NodeLadder] = None,
-                     dataset: Optional[LadderDataset] = None,
+                     dataset: Optional[ExperimentDataset] = None,
                      steps: Optional[int] = None, seed: int = 0,
                      resolution: Optional[int] = None,
                      workers: int = 1, use_cache: bool = True,
@@ -64,32 +87,31 @@ def run_ladder_study(ladder: Optional[NodeLadder] = None,
         Node chain to study (default: the 130/45/28/14/7 chain).
         Ignored when ``dataset`` is given.
     dataset:
-        Pre-built :class:`LadderDataset` (tests inject tiny ones).
+        Pre-built :class:`ExperimentDataset` (tests inject tiny ones).
     steps / seed / resolution / workers / use_cache / cache_dir:
         Training length override and dataset build knobs.
     include_loo:
         Also retrain with each source node left out.
     include_reverse:
-        Also train toward the chain's *largest* node (needs a second
-        dataset build, since the test designs move nodes).
+        Also run :func:`run_reverse_transfer` on the ladder (a second
+        dataset, since the test designs move nodes).
     logger:
         A :class:`~repro.obs.RunLogger`; per-node metrics are merged
         into its manifest and summary.  Defaults to a no-op logger.
     """
     logger = logger if logger is not None else NullRunLogger()
-    config_kwargs = {} if steps is None else {"steps": steps}
 
     if dataset is None:
         ladder = ladder if ladder is not None \
             else NodeLadder(DEFAULT_LADDER_NMS)
-        dataset = build_ladder_dataset(
+        dataset = build_dataset(
             ladder, resolution=resolution, use_cache=use_cache,
             workers=workers, cache_dir=cache_dir)
     ladder = dataset.ladder
     nodes = ladder.node_labels
     target = dataset.target_label
 
-    main = _train_and_score(dataset, nodes, target, seed, config_kwargs)
+    main = _train_and_score(dataset, nodes, target, seed, steps)
 
     per_node: Dict[str, Dict[str, object]] = {}
     for record in ladder.describe():
@@ -109,7 +131,7 @@ def run_ladder_study(ladder: Optional[NodeLadder] = None,
             if len(remaining) < 2:
                 continue  # nothing left to align against
             scores = _train_and_score(dataset, remaining, target, seed,
-                                      config_kwargs)
+                                      steps)
             loo[label] = scores
             per_node[label]["loo_average_r2"] = scores["average"]
             per_node[label]["loo_delta_r2"] = \
@@ -117,12 +139,9 @@ def run_ladder_study(ladder: Optional[NodeLadder] = None,
 
     reverse: Optional[Dict[str, float]] = None
     if include_reverse:
-        big = nodes[0]
-        rev_dataset = build_ladder_dataset(
-            ladder, target_label=big, resolution=resolution,
-            use_cache=use_cache, workers=workers, cache_dir=cache_dir)
-        reverse = _train_and_score(rev_dataset, nodes, big, seed,
-                                   config_kwargs)
+        reverse = run_reverse_transfer(
+            ladder, steps=steps, seed=seed, resolution=resolution,
+            workers=workers, use_cache=use_cache, cache_dir=cache_dir)
 
     results: Dict[str, object] = {
         "nodes": list(nodes),
@@ -166,4 +185,11 @@ def format_ladder_study(results: Dict[str, object]) -> str:
         rev = results["reverse"]
         lines.append(f"  Reverse transfer -> {rev['target']}: "
                      f"{rev['average']:.3f}")
+    return "\n".join(lines)
+
+
+def format_reverse_transfer(results: Dict[str, float]) -> str:
+    lines = ["Reverse transfer (7nm -> 130nm), ours R^2:"]
+    for name, r2 in results.items():
+        lines.append(f"  {name:>10}: {r2:.3f}")
     return "\n".join(lines)

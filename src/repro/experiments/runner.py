@@ -13,15 +13,11 @@ import time
 from typing import Optional
 
 from .datasets import build_dataset
-from .extensions import (
-    format_calibration,
-    format_reverse_transfer,
-    run_reverse_transfer,
-    run_uncertainty_calibration,
-)
+from .extensions import format_calibration, run_uncertainty_calibration
 from .fig1 import format_fig1, run_fig1
 from .fig6 import format_fig6, run_fig6
 from .fig8 import format_fig8, run_fig8
+from .ladder import format_reverse_transfer, run_reverse_transfer
 from .table1 import format_table1, run_table1
 from .table2 import format_table2, run_table2
 from .table3 import format_table3, run_table3
@@ -47,9 +43,9 @@ def run_all(names=None, seed: int = 0, steps: Optional[int] = None,
     for name in names:
         t0 = time.perf_counter()
         if name == "reverse":
-            result = run_reverse_transfer(
-                seed=seed, **({"steps": steps} if steps else {})
-            )
+            result = run_reverse_transfer(steps=steps, seed=seed,
+                                          workers=workers,
+                                          use_cache=use_cache)
             fmt = format_reverse_transfer
         else:
             run, fmt, trains = EXPERIMENTS[name]

@@ -25,8 +25,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..features import GateVocabulary
-from ..techlib import (NodeLadder, TechLibrary, library_digest,
-                       make_asap7_library, make_sky130_library)
+from ..techlib import ANCHOR_NMS, NodeLadder, TechLibrary, library_digest
 from ..util import get_timings, merge_timings, reset_timings
 from .dataset import DesignData, load_design_data, save_design_data
 
@@ -140,10 +139,6 @@ class FlowBuildError(RuntimeError):
         )
 
 
-def _default_libraries() -> Dict[str, TechLibrary]:
-    return {"130nm": make_sky130_library(), "7nm": make_asap7_library()}
-
-
 def library_set_digest(libraries: Dict[str, TechLibrary]) -> str:
     """Content digest of a whole node-label -> library mapping.
 
@@ -159,32 +154,29 @@ def library_set_digest(libraries: Dict[str, TechLibrary]) -> str:
     return h.hexdigest()
 
 
-def _flow_worker(task: Tuple[str, str, float, int, int,
-                             Optional[Dict[str, object]]]
+def _flow_worker(task: Tuple[str, str, float, int, int, Dict[str, object]]
                  ) -> Tuple[DesignData, Dict[str, Dict[str, float]]]:
     """Run one design through the flow (executes in a worker process).
 
-    Builds its own libraries/vocabulary — from the task's ladder spec
-    when one is given, the two-node defaults otherwise.  Both are
-    deterministic, so every worker featurises against the same
-    vocabulary as the parent.  Returns the design together with this
-    task's timing registry — pool processes are reused across tasks, so
-    the registry is reset on entry to scope the snapshot to exactly
-    this build.
+    Builds its own libraries/vocabulary from the task's ladder spec.
+    Both are deterministic, so every worker featurises against the
+    same vocabulary as the parent.  Returns the design together with
+    this task's timing registry — pool processes are reused across
+    tasks, so the registry is reset on entry to scope the snapshot to
+    exactly this build.
     """
     reset_timings()
     name, node, scale, resolution, seed, ladder_spec = task
     from .pnr import PnRFlow
 
-    libraries = _default_libraries() if ladder_spec is None \
-        else NodeLadder.from_spec(ladder_spec).libraries()
+    libraries = NodeLadder.from_spec(ladder_spec).libraries()
     flow = PnRFlow(libraries, vocab=GateVocabulary(list(libraries.values())),
                    resolution=resolution, scale=scale, seed=seed)
     return flow.run(name, node), get_timings()
 
 
 def _run_parallel(tasks: Dict[int, Tuple[str, str, float, int, int,
-                                         Optional[Dict[str, object]]]],
+                                         Dict[str, object]]],
                   workers: int
                   ) -> Tuple[Dict[int, Tuple[DesignData,
                                              Dict[str, Dict[str, float]]]],
@@ -233,10 +225,11 @@ def build_designs(names: Sequence[Tuple[str, str]],
     cache_dir:
         Cache root override (default ``$REPRO_CACHE_DIR`` handling).
     ladder:
-        Build against this :class:`~repro.techlib.NodeLadder`'s
-        libraries instead of the two-node defaults.  The ladder's
-        small serializable spec — not the libraries — is shipped to
-        worker processes, which rebuild identical libraries from it.
+        The :class:`~repro.techlib.NodeLadder` whose libraries the
+        flow runs against; default the paper's two anchor nodes.  The
+        ladder's small serializable spec — not the libraries — is
+        shipped to worker processes, which rebuild identical libraries
+        from it.
     retries:
         Serial attempts per design *after* its first failure (pool or
         serial) before the design is declared dead.  Transient failures
@@ -248,13 +241,12 @@ def build_designs(names: Sequence[Tuple[str, str]],
         attempt *k* (0-based) sleeps ``retry_backoff * 2**k`` seconds
         first.  ``0`` retries immediately.
     """
-    libs = ladder.libraries() if ladder is not None \
-        else _default_libraries()
+    ladder = ladder if ladder is not None else NodeLadder(ANCHOR_NMS)
+    libs = ladder.libraries()
     # Content key: the features of every design depend on the whole
     # library set (the gate one-hot spans the merged vocabulary), so
     # the cache keys on a digest of all of it, not just the node label.
     lib_digest = library_set_digest(libs)
-    ladder_spec = ladder.spec if ladder is not None else None
 
     cache = FlowCache(cache_dir)
     results: Dict[int, DesignData] = {}
@@ -270,7 +262,7 @@ def build_designs(names: Sequence[Tuple[str, str]],
     pool_failed: Dict[int, BaseException] = {}
     if misses and workers > 1:
         tasks = {i: (names[i][0], names[i][1], scale, resolution, seed,
-                     ladder_spec)
+                     ladder.spec)
                  for i in misses}
         done, pool_failed = _run_parallel(tasks, workers)
         for i, (design, worker_timings) in done.items():

@@ -144,23 +144,19 @@ class InferenceEngine:
         A trained predictor whose node priors have been finalised
         (``OursTrainer.fit`` does this; so does
         :func:`repro.infer.load_predictor`).
-    use_cache:
-        Memoise per-design extractor outputs keyed by the weight
-        digest.  Disable for strictly stateless serving.
 
     Every prediction folds each queried design's own (unlabeled) paths
     into its node population before reading the prior — Equation (7)'s
     "all the timing paths on the target node", ``predict()``'s default.
     """
 
-    def __init__(self, model: TimingPredictor,
-                 use_cache: bool = True) -> None:
+    def __init__(self, model: TimingPredictor) -> None:
         self.model = model
         #: Models served so far: 1 for ``model``, one more per
         #: :meth:`swap_model`.
         self.generation = 1
-        self.cache: Optional[FeatureCache] = \
-            FeatureCache() if use_cache else None
+        #: Per-design extractor outputs keyed by the weight digest.
+        self.cache = FeatureCache()
         #: design-set key -> (FusedDesignBatch, per-design (images,
         #: cols)); the union graph and the conv1 columns are
         #: weight-independent.  Keyed on each design's content digest,
@@ -225,12 +221,11 @@ class InferenceEngine:
         """Per-design triples, extracting every cache miss in ONE cold
         pass (:meth:`_extract`)."""
         model = self.model
-        digest = self._digest(model) if self.cache is not None else ""
+        digest = self._digest(model)
         triples: List[Optional[FeatureTriple]] = [None] * len(designs)
         misses: List[int] = []
         for i, design in enumerate(designs):
-            hit = self.cache.lookup(design, digest) \
-                if self.cache is not None else None
+            hit = self.cache.lookup(design, digest)
             if hit is not None:
                 triples[i] = hit
             else:
@@ -240,8 +235,7 @@ class InferenceEngine:
             # One digest recompute per coalesced batch: store the whole
             # batch's triples only if the weights did not change under
             # us while the fused forward ran.
-            storable = self.cache is not None and \
-                self._digest(model) == digest
+            storable = self._digest(model) == digest
             for i, triple in zip(misses, extracted):
                 triples[i] = triple
                 if storable:
@@ -257,7 +251,7 @@ class InferenceEngine:
         of one design set shares one structure entry.  Nothing is staged
         if the weights change while they run.
         """
-        if self.cache is None or not designs:
+        if not designs:
             return "", []
         digest = self._digest(model)
         cold = {design_key(d): d for d in designs
@@ -390,9 +384,7 @@ class InferenceEngine:
 
     # ------------------------------------------------------------------
     def cache_stats(self) -> Dict[str, int]:
-        """Hit/miss/entry counters (zeros when the cache is disabled)."""
-        if self.cache is None:
-            return {"hits": 0, "misses": 0, "entries": 0}
+        """Hit/miss/entry counters of the feature cache."""
         return self.cache.stats()
 
     def stats(self) -> Dict[str, Dict[str, int]]:

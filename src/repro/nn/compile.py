@@ -324,8 +324,6 @@ class CompiledStep:
         self._outputs: Dict[str, np.ndarray] = {
             name: self._buf[id(t)] for name, t in outputs.items()
         }
-        #: op name -> {"calls", "seconds"}; filled by profiled replays.
-        self.op_profile: Dict[str, Dict[str, float]] = {}
         self.num_ops = len(self._fwd) + len(self._bwd)
         self.replays = 0
 
@@ -432,12 +430,4 @@ class CompiledStep:
         for op, fn in schedule:
             start = time.perf_counter()
             fn()
-            elapsed = time.perf_counter() - start
-            name = f"{phase}.{op}"
-            entry = self.op_profile.get(name)
-            if entry is None:
-                entry = self.op_profile[name] = \
-                    {"calls": 0, "seconds": 0.0}
-            entry["calls"] += 1
-            entry["seconds"] += elapsed
-            timing.record(f"op.{name}", elapsed)
+            timing.record(f"op.{phase}.{op}", time.perf_counter() - start)

@@ -595,11 +595,16 @@ def _max_pool2d_grad(g, ins, out, attrs, need, state):
     ``argmax`` does.
     """
     x = ins[0]
-    g_x = _scratch(state, "g_x", x.shape, g.dtype, zero=True)
+    kernel, stride = attrs["kernel"], attrs["stride"]
+    overlapping = stride < kernel
+    # Windows that tile the input have the equality pass write every
+    # cell; overlapping windows add, and cells no window covers stay 0.
+    tiling = stride == kernel and x.shape[2] % kernel == 0 \
+        and x.shape[3] % kernel == 0
+    g_x = _scratch(state, "g_x", x.shape, g.dtype, zero=not tiling)
     free = _scratch(state, "free", out.shape, np.bool_)
     hit = _scratch(state, "hit", out.shape, np.bool_)
     free.fill(True)
-    overlapping = attrs["stride"] < attrs["kernel"]
     # The integer type of g's width: a product with ``hit`` keeps g's
     # bits (-0.0 included) where it is 1 and writes +0.0 where it is 0.
     bits = np.dtype(f"i{g.dtype.itemsize}")

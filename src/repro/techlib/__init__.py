@@ -13,7 +13,8 @@ transfer studies.
 
 from .asap7 import make_asap7_library
 from .cell import StandardCell, TimingArc, TimingTable
-from .ladder import DEFAULT_LADDER_NMS, NodeLadder, label_to_nm, node_label
+from .ladder import (ANCHOR_NMS, DEFAULT_LADDER_NMS, NodeLadder,
+                     label_to_nm, node_label)
 from .library import (
     GENERIC_FUNCTIONS,
     TechLibrary,
@@ -26,6 +27,7 @@ from .scaling import make_interpolated_node, scale_library
 from .sky130 import make_sky130_library
 
 __all__ = [
+    "ANCHOR_NMS",
     "DEFAULT_LADDER_NMS",
     "GENERIC_FUNCTIONS",
     "NodeLadder",

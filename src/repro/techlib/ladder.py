@@ -28,11 +28,15 @@ from .library import TechLibrary, library_digest, merged_cell_vocabulary
 from .scaling import make_interpolated_node, nm_text
 from .sky130 import make_sky130_library
 
-__all__ = ["DEFAULT_LADDER_NMS", "NodeLadder", "label_to_nm",
-           "node_label"]
+__all__ = ["ANCHOR_NMS", "DEFAULT_LADDER_NMS", "NodeLadder",
+           "label_to_nm", "node_label"]
 
 #: The sizes at which the *real* anchor libraries are used verbatim.
 _ANCHOR_BUILDERS = {130.0: make_sky130_library, 7.0: make_asap7_library}
+
+#: The paper's two nodes: ``NodeLadder(ANCHOR_NMS)`` is the one source
+#: of the two-node libraries and designs.
+ANCHOR_NMS = tuple(_ANCHOR_BUILDERS)
 
 #: Functions an interpolated node always keeps under gate-mix
 #: perturbation: the mapper's rewrite base (it cannot terminate without

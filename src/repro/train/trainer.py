@@ -228,8 +228,8 @@ class OursTrainer:
         self._compile_disabled = False
         self.retraces = 0
         #: When True, replays time every kernel into the
-        #: :mod:`repro.util` timing registry (``op.fwd.*``/``op.bwd.*``)
-        #: and the program's ``op_profile`` (CLI ``--profile``).
+        #: :mod:`repro.util` timing registry (``op.fwd.*``/``op.bwd.*``,
+        #: CLI ``--profile``).
         self.profile_ops = False
         # Crash-resume lifecycle state.  ``keeper`` lives on the
         # instance (not as a fit() local) so a checkpoint can capture

@@ -10,7 +10,7 @@ import pytest
 
 from repro.flow import FlowBuildError, FlowCache, build_designs, run_flow
 from repro.flow.cache import library_set_digest
-from repro.techlib import (NodeLadder, make_asap7_library,
+from repro.techlib import (ANCHOR_NMS, NodeLadder, make_asap7_library,
                            make_sky130_library, scale_library)
 from repro.util import get_timings, reset_timings
 
@@ -204,7 +204,8 @@ class TestBuildFailures:
         (built,) = build_designs(NAMES, resolution=16, workers=2,
                                  use_cache=False)
         assert calls["tasks"] == {
-            0: ("usbf_device", "7nm", 1.0, 16, 0, None)}
+            0: ("usbf_device", "7nm", 1.0, 16, 0,
+                NodeLadder(ANCHOR_NMS).spec)}
         _assert_identical(built, fresh)
 
 

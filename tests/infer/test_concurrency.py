@@ -79,9 +79,12 @@ class TestBoundedEngineCaches:
         bound — a resident server would otherwise leak one union batch
         per request mix — and eviction must never change results."""
         monkeypatch.setattr(engine_mod, "MAX_STRUCT_ENTRIES", 2)
-        engine = InferenceEngine(model, use_cache=False)
+        engine = InferenceEngine(model)
         a, b = designs
         for batch in ([a], [b], [a, b], [b], [a]):
+            # Cold every time: a feature-cache hit never reaches the
+            # structure cache.
+            engine.cache.clear()
             out = engine.predict_many(batch)
             for d in batch:
                 np.testing.assert_allclose(out[d.name].mean,

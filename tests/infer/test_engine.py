@@ -54,15 +54,6 @@ class TestPredictEquivalence:
             np.testing.assert_array_equal(out.mean, ref_mean)
             np.testing.assert_array_equal(out.std, ref_std)
 
-    def test_cache_disabled_still_matches(self, model, designs,
-                                          reference):
-        engine = InferenceEngine(model, use_cache=False)
-        for design in designs:
-            np.testing.assert_array_equal(predict_one(engine, design).mean,
-                                          reference[design.name])
-        assert engine.cache_stats() == {"hits": 0, "misses": 0,
-                                        "entries": 0}
-
 
 class TestColdExtraction:
     def test_per_design_cnn_pass_equals_stacked(self, model, designs):
@@ -98,7 +89,7 @@ class TestPredictMany:
             assert pred.std is None
 
     def test_mc_matches_per_design_seeded_predict(self, model, designs):
-        engine = InferenceEngine(model, use_cache=False)
+        engine = InferenceEngine(model)
         out = engine.predict_many(designs, mc_samples=8, seed=5)
         for design in designs:
             ref = model.predict(design, mc_samples=8, seed=5)

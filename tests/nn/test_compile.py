@@ -24,6 +24,7 @@ from repro.nn import (
     trace,
 )
 from repro.nn import functional as F
+from repro.util import get_timings, reset_timings
 
 
 @pytest.fixture
@@ -217,14 +218,27 @@ def test_conv_pool_graph_bit_equals_eager(rng):
 
 
 def test_profiled_replay_populates_op_profile(rng):
+    """A profiled replay times every kernel into the timing registry,
+    one ``op.fwd.*``/``op.bwd.*`` call per scheduled op; a plain
+    replay records none."""
     net = _Net(rng)
     arrays = {"a": rng.standard_normal((4, 6)),
               "b": rng.standard_normal((4, 3))}
     program = _compile(net, arrays)
+
+    def op_timings():
+        return {name: entry for name, entry in get_timings().items()
+                if name.startswith("op.")}
+
+    reset_timings()
+    program.replay(arrays)
+    assert not op_timings()
     program.replay(arrays, profile=True)
-    assert program.op_profile
-    assert any(name.startswith("fwd.") for name in program.op_profile)
-    assert any(name.startswith("bwd.") for name in program.op_profile)
-    for entry in program.op_profile.values():
+    ops = op_timings()
+    assert any(name.startswith("op.fwd.") for name in ops)
+    assert any(name.startswith("op.bwd.") for name in ops)
+    assert sum(entry["calls"] for entry in ops.values()) == \
+        program.num_ops
+    for entry in ops.values():
         assert entry["calls"] >= 1
         assert entry["seconds"] >= 0.0

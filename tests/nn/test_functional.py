@@ -148,6 +148,34 @@ class TestPooling:
                 assert g_x[0, 0].tobytes() == expected.tobytes(), \
                     (dtype, upstream)
 
+    @pytest.mark.parametrize("size, stride", [(5, 2), (5, 3), (4, 2),
+                                              (4, 1)])
+    def test_max_pool_backward_rewrites_its_buffer(self, rng, size,
+                                                   stride):
+        """Two backward passes through one state give the same bytes,
+        though the first pass's returned buffer was overwritten in
+        between: cells no window covers (a 5x5 input at kernel 2 leaves
+        the last row and column out) read exactly 0 again, and every
+        covered cell is written afresh."""
+        attrs = {"kernel": 2, "stride": stride}
+        op = OPS["max_pool2d"]
+        x = rng.standard_normal((2, 3, size, size))
+        out = op.forward([x], attrs, None, {})
+        g = rng.standard_normal(out.shape)
+        state = {}
+        (g_x,) = op.backward(g, [x], out, attrs, [True], state)
+        first = g_x.copy()
+        g_x.fill(np.nan)
+        (g_x,) = op.backward(g, [x], out, attrs, [True], state)
+        assert g_x.tobytes() == first.tobytes()
+        covered = (out.shape[2] - 1) * stride + attrs["kernel"]
+        if covered < size:
+            assert not first[:, :, covered:, :].any()
+            assert not first[:, :, :, covered:].any()
+        if stride == 3:
+            assert not first[:, :, 2, :].any()
+            assert not first[:, :, :, 2].any()
+
     def test_avg_pool_values(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)
         out = F.avg_pool2d(Tensor(x), kernel=2)

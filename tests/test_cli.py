@@ -22,10 +22,10 @@ class TestParser:
     def test_predict_args(self):
         args = build_parser().parse_args(
             ["predict", "usbf_device", "aes_cipher_top",
-             "--uncertainty", "--mc-samples", "8", "--no-cache",
+             "--uncertainty", "--mc-samples", "8",
              "--model", "model.npz"])
         assert args.designs == ["usbf_device", "aes_cipher_top"]
-        assert args.uncertainty and args.no_cache
+        assert args.uncertainty
         assert args.mc_samples == 8
         assert args.model == "model.npz"
 
@@ -33,7 +33,7 @@ class TestParser:
         args = build_parser().parse_args(["predict", "usbf_device"])
         assert args.model is None
         assert args.mc_samples == 0
-        assert not args.uncertainty and not args.no_cache
+        assert not args.uncertainty
         assert args.repeat == 1
 
     def test_predict_requires_a_design(self):

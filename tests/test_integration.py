@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import build_dataset
-from repro.features import GateVocabulary, normalize_features
-from repro.flow import run_flow
 from repro.model import TimingPredictor
-from repro.techlib import make_asap7_library, make_sky130_library
 from repro.train import OursTrainer, TrainConfig, r2_score, train_pt_ft
 
 
@@ -69,26 +66,21 @@ class TestLearningSignal:
 class TestReverseTransfer:
     """Extension: transfer in the opposite direction (7nm -> 130nm).
 
-    The framework is symmetric in the two nodes; swapping roles must
-    train and produce finite predictions on 130nm targets.
+    The framework is symmetric in the two nodes; swapping roles (the
+    trainer's target node is 130nm) must train and produce finite
+    predictions on 130nm targets.
     """
 
     def test_seven_to_130(self):
-        libraries = {"130nm": make_sky130_library(),
-                     "7nm": make_asap7_library()}
-        vocab = GateVocabulary(list(libraries.values()))
-        train = [
-            run_flow("smallboom", "130nm", libraries, vocab=vocab,
-                     resolution=16),
-            run_flow("jpeg", "7nm", libraries, vocab=vocab, resolution=16),
-            run_flow("linkruncca", "7nm", libraries, vocab=vocab,
-                     resolution=16),
-        ]
-        test = run_flow("arm9", "130nm", libraries, vocab=vocab,
-                        resolution=16)
-        normalize_features([d.graph for d in train + [test]])
-        model = TimingPredictor(train[0].graph.features.shape[1], seed=0)
-        OursTrainer(model, train, TrainConfig(steps=40, seed=0)).fit()
+        dataset = build_dataset(target_label="130nm", resolution=16)
+        train = [dataset.by_name(name)
+                 for name in ("smallboom", "jpeg", "linkruncca")]
+        test = dataset.by_name("arm9")
+        assert [d.node for d in train + [test]] == \
+            ["130nm", "7nm", "7nm", "130nm"]
+        model = TimingPredictor(dataset.in_features, seed=0)
+        OursTrainer(model, train, TrainConfig(steps=40, seed=0,
+                                              target_node="130nm")).fit()
         pred = model.predict(test)
         assert np.isfinite(pred).all()
         # Predictions land nearer the 130nm training scale than the

@@ -139,10 +139,10 @@ class TestLadderEvalSmoke:
     def test_leave_one_node_out_study(self, ladder3_designs):
         """run_ladder_study end to end on an injected tiny dataset."""
         from repro.experiments import run_ladder_study
-        from repro.experiments.datasets import LadderDataset
+        from repro.experiments import ExperimentDataset
 
         ladder = NodeLadder(node_nms=(130.0, 45.0, 7.0))
-        dataset = LadderDataset(
+        dataset = ExperimentDataset(
             train=list(ladder3_designs),
             test=[d for d in ladder3_designs if d.node == "7nm"],
             in_features=ladder3_designs[0].graph.features.shape[1],
