@@ -49,7 +49,8 @@ def timed_steps() -> int:
 
     The warm-up steps pay the one-off costs: union-graph construction,
     level-plan memoisation, and — for the compiled variants — the
-    trace+compile of the warmup and main step programs.
+    trace+compile of the step program (warmup and main phases share
+    it).
 
     Two statistics are recorded per variant because they answer
     different questions.  The per-step MINIMUM is the pure-compute

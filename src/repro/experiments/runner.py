@@ -36,11 +36,17 @@ EXPERIMENTS = {
 def run_all(names=None, seed: int = 0, steps: Optional[int] = None,
             stream=None, workers: int = 1,
             use_cache: bool = True) -> None:
-    """Run the named experiments (all by default) and print results."""
+    """Run the named experiments (all by default) and print results.
+
+    The Table-1 dataset is built on the first experiment that takes it;
+    ``reverse`` builds its own, so running it alone builds no other.
+    """
     stream = stream or sys.stdout
     names = names or list(EXPERIMENTS) + ["reverse"]
-    dataset = build_dataset(workers=workers, use_cache=use_cache)
+    dataset = None
     for name in names:
+        if name != "reverse" and dataset is None:
+            dataset = build_dataset(workers=workers, use_cache=use_cache)
         t0 = time.perf_counter()
         if name == "reverse":
             result = run_reverse_transfer(steps=steps, seed=seed,

@@ -17,7 +17,7 @@ log-likelihood under q minus ``KL(q || p)``.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -173,8 +173,8 @@ class BayesianReadout(Module):
 
     def elbo_loss(self, u: Tensor, z: Tensor, labels: np.ndarray,
                   prior_mu: Tensor, prior_log_var: Tensor,
-                  kl_weight: float = 1.0, obs_var: float = 1.0,
-                  prior_weight: float = 1.0,
+                  kl_weight: Union[float, Tensor] = 1.0,
+                  obs_var: float = 1.0, prior_weight: float = 1.0,
                   noise: Optional[Tuple[Tensor, Optional[Tensor]]] = None,
                   ) -> Tensor:
         """Negative ELBO (Equation 11) plus the direct Eq-7 likelihood.
@@ -189,13 +189,15 @@ class BayesianReadout(Module):
         ``noise`` optionally supplies the pre-drawn ``(eps_q, eps_p)``
         reparameterisation noise (``eps_p`` unused/None when
         ``prior_weight == 0``); the trainer uses this to make the loss a
-        pure function of its inputs, as compiled replays require.
+        pure function of its inputs, as compiled replays require.  For
+        the same reason ``kl_weight`` may be a 0-d step-input tensor;
+        the product is ``kl * kl_weight`` either way.
         """
         eps_q, eps_p = noise if noise is not None else (None, None)
         nll = self.expected_nll(u, z, labels, obs_var=obs_var, eps=eps_q)
         q_mu, q_log_var = self.weight_distribution(z)
         kl = self.kl_divergence(q_mu, q_log_var, prior_mu, prior_log_var)
-        loss = nll + kl_weight * kl
+        loss = nll + kl * kl_weight
         if prior_weight > 0.0:
             y = self._as_label_tensor(labels)
             preds = self.sample_predictions_from(u, prior_mu, prior_log_var,

@@ -66,7 +66,7 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
 def run_from_args(args: argparse.Namespace) -> int:
     """Build the dataset + model, then serve until interrupted."""
     from ..experiments import build_dataset
-    from ..util import reset_timings
+    from ..util import reset_timings, set_blas_threads
     from .server import PredictionServer, ServerConfig, warm_up
 
     reset_timings()
@@ -77,6 +77,11 @@ def run_from_args(args: argparse.Namespace) -> int:
     model = load_or_train(args, dataset)
     if model is None:
         return 1
+    # Every BLAS call on the thread that makes it: an idle OpenBLAS
+    # worker busy-waits and would hold a core the request threads need
+    # (DESIGN.md §25).  Set only now, so a model trained above keeps
+    # the bits of the default thread count.
+    set_blas_threads(1)
 
     config = ServerConfig(host=args.host, port=args.port,
                           batch_window_ms=args.batch_window_ms,

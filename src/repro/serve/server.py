@@ -19,8 +19,9 @@ HTTP — no new dependencies:
 ``GET /healthz`` / ``GET /stats``
     Liveness (model digest, generation) and serving telemetry: cache
     hit/eviction counters for every engine tier, coalescer batch
-    shape, request latency percentiles, and the process timing
-    registry.
+    shape, request latency percentiles, the process timing registry,
+    and ``blas_threads``, the threads each BLAS call runs on (None
+    when numpy's BLAS is not an OpenBLAS; ``repro serve`` sets 1).
 
 ``POST /reload``
     Reload the model checkpoint from disk, extract every served
@@ -61,7 +62,7 @@ from ..flow import DesignData
 from ..infer import InferenceEngine, load_predictor, weight_digest
 from ..model import TimingPredictor
 from ..nn.serialization import CheckpointError
-from ..util import get_timings
+from ..util import blas_threads, get_timings
 from .coalescer import CoalescerClosed, RequestCoalescer
 
 __all__ = ["ModelContainer", "PredictionServer", "PredictionService",
@@ -344,6 +345,7 @@ class PredictionService:
             "timings": {name: entry for name, entry in
                         get_timings().items()
                         if name.startswith("infer.")},
+            "blas_threads": blas_threads(),
         }
         return 200, body
 

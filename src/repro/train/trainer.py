@@ -217,11 +217,12 @@ class OursTrainer:
         # once, lazily, and its GNN level plan is memoised on it.
         self._fused_batch: Optional[FusedDesignBatch] = None
         # Compiled-step state: one CompiledStep per program signature
-        # (warmup flag, per-design subset sizes, dtype) — a shape change
-        # simply compiles a new program.  ``_compile_disabled`` latches
-        # on an unrecoverable CompileError (e.g. an unregistered op) and
-        # drops the run to eager; ``retraces`` counts replays invalidated
-        # by rebound parameter arrays, capped per signature.
+        # (per-design subset sizes, dtype) — a shape change simply
+        # compiles a new program; warmup only changes step inputs.
+        # ``_compile_disabled`` latches on an unrecoverable CompileError
+        # (e.g. an unregistered op) and drops the run to eager;
+        # ``retraces`` counts replays invalidated by rebound parameter
+        # arrays, capped per signature.
         self._programs: Dict[Tuple, CompiledStep] = {}
         self._retrace_counts: Dict[Tuple, int] = {}
         self._max_retraces = 3
@@ -396,13 +397,16 @@ class OursTrainer:
                                                 self.rng))
         return subsets
 
-    def _step_inputs(self, subsets: List[np.ndarray]) -> Dict[str, np.ndarray]:
+    def _step_inputs(self, subsets: List[np.ndarray],
+                     warmup: bool) -> Dict[str, np.ndarray]:
         """Everything that varies between steps, as named plain arrays.
 
         These are the per-step inputs of the (compiled or eager) loss
         graph: the merged endpoint rows and stacked layout images of
-        the fused batch, each design's labels, and the pre-drawn
-        reparameterisation noise.
+        the fused batch, each design's labels, the pre-drawn
+        reparameterisation noise, and the loss weights ``gamma1``,
+        ``gamma2`` and ``kl_weight`` (0.0 during warmup), so the warmup
+        and main phases replay one compiled program.
 
         Drawing the noise *here* — in the exact order the historical
         in-graph sampling consumed the generator (per design: posterior
@@ -420,6 +424,8 @@ class OursTrainer:
             "images": batch.stacked_path_images(subsets),
         }
         cfg = self.config
+        for name in ("gamma1", "gamma2", "kl_weight"):
+            inputs[name] = np.array(0.0 if warmup else getattr(cfg, name))
         readout = self.model.readout
         m = readout.feature_size
         for i, (design, subset) in enumerate(zip(self.source + self.target,
@@ -431,7 +437,7 @@ class OursTrainer:
                 inputs[f"eps_p{i}"] = readout.draw_noise((1, m))
         return inputs
 
-    def _loss_parts(self, warmup: bool, subsets: List[np.ndarray],
+    def _loss_parts(self, subsets: List[np.ndarray],
                     inputs: Dict[str, np.ndarray]
                     ) -> Tuple[Tensor, Tensor, Tensor, Tensor]:
         """Build the step's loss graph from prepared inputs.
@@ -442,9 +448,9 @@ class OursTrainer:
         compiled program replays exactly the graph eager runs.
         """
         cfg = self.config
-        gamma1 = 0.0 if warmup else cfg.gamma1
-        gamma2 = 0.0 if warmup else cfg.gamma2
-        kl_weight = 0.0 if warmup else cfg.kl_weight
+        gamma1 = step_input("gamma1", inputs["gamma1"])
+        gamma2 = step_input("gamma2", inputs["gamma2"])
+        kl_weight = step_input("kl_weight", inputs["kl_weight"])
         designs = self.source + self.target
         with timed("train.features"):
             rows = step_index("rows", inputs["rows"])
@@ -496,17 +502,15 @@ class OursTrainer:
             # u_d matches the two-node tape bit-for-bit.
             ud_groups = [u_d[lo:hi] for lo, hi in node_bounds]
             cmd = cmd_loss_multi(ud_groups, max_order=cfg.cmd_order)
-        total = elbo_total + gamma1 * clr + gamma2 * cmd
+        # Weight on the right: the operand order a float weight gave.
+        total = elbo_total + clr * gamma1 + cmd * gamma2
         return total, elbo_total, clr, cmd
 
-    def _program_key(self, warmup: bool,
-                     subsets: List[np.ndarray]) -> Tuple:
+    def _program_key(self, subsets: List[np.ndarray]) -> Tuple:
         """Program signature: retrace whenever any of this changes."""
-        return (bool(warmup), tuple(len(s) for s in subsets),
-                self.config.dtype)
+        return (tuple(len(s) for s in subsets), self.config.dtype)
 
-    def _compile_program(self, key: Tuple, warmup: bool,
-                         subsets: List[np.ndarray],
+    def _compile_program(self, key: Tuple, subsets: List[np.ndarray],
                          inputs: Dict[str, np.ndarray]
                          ) -> Optional[CompiledStep]:
         """Trace one step and compile it; None (eager fallback) on failure."""
@@ -514,7 +518,7 @@ class OursTrainer:
             with timed("train.trace"):
                 with trace() as tape:
                     total, elbo, clr, cmd = self._loss_parts(
-                        warmup, subsets, inputs)
+                        subsets, inputs)
                 program = CompiledStep(
                     tape, total,
                     outputs={"total": total, "elbo": elbo,
@@ -531,7 +535,7 @@ class OursTrainer:
         self._programs[key] = program
         return program
 
-    def _grads_compiled(self, warmup: bool, subsets: List[np.ndarray],
+    def _grads_compiled(self, subsets: List[np.ndarray],
                         inputs: Dict[str, np.ndarray]
                         ) -> Optional[Dict[str, float]]:
         """Populate gradients through the compiled program, if possible.
@@ -541,15 +545,14 @@ class OursTrainer:
         retrace budget is exhausted (a guard against pathological
         parameter rebinding re-tracing every step).
         """
-        key = self._program_key(warmup, subsets)
+        key = self._program_key(subsets)
         if self._compile_disabled \
                 or self._retrace_counts.get(key, 0) > self._max_retraces:
             return None
         for _attempt in range(2):
             program = self._programs.get(key)
             if program is None:
-                program = self._compile_program(key, warmup, subsets,
-                                                inputs)
+                program = self._compile_program(key, subsets, inputs)
                 if program is None:
                     return None
             self.model.zero_grad()
@@ -572,10 +575,10 @@ class OursTrainer:
                     for name, value in out.items()}
         return None
 
-    def _grads_eager(self, warmup: bool, subsets: List[np.ndarray],
+    def _grads_eager(self, subsets: List[np.ndarray],
                      inputs: Dict[str, np.ndarray]) -> Dict[str, float]:
         """Populate gradients eagerly (graph built per call)."""
-        total, elbo, clr, cmd = self._loss_parts(warmup, subsets, inputs)
+        total, elbo, clr, cmd = self._loss_parts(subsets, inputs)
         with timed("train.backward"):
             self.model.zero_grad()
             total.backward()
@@ -595,7 +598,8 @@ class OursTrainer:
         contiguous row ranges.
 
         With ``config.compile`` (the default) the step's op graph is
-        traced once per (warmup, batch-shape, dtype) signature and
+        traced once per (batch-shape, dtype) signature — the warmup
+        weights are step inputs, not a second program — and
         thereafter replayed as a flat schedule of the same ops over
         preallocated buffers — bit-for-bit identical results in
         float64, so eager and compiled runs are interchangeable mid-run
@@ -604,12 +608,12 @@ class OursTrainer:
         start = time.perf_counter()
         cfg = self.config
         subsets = self._sample_subsets()
-        inputs = self._step_inputs(subsets)
+        inputs = self._step_inputs(subsets, warmup)
         values = None
         if cfg.compile:
-            values = self._grads_compiled(warmup, subsets, inputs)
+            values = self._grads_compiled(subsets, inputs)
         if values is None:
-            values = self._grads_eager(warmup, subsets, inputs)
+            values = self._grads_eager(subsets, inputs)
         grad_norm = float(self.optimizer.clip_grad_norm(cfg.grad_clip))
         self.optimizer.step()
         return {

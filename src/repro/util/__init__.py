@@ -1,5 +1,6 @@
-"""Small cross-cutting utilities (timing, concurrency)."""
+"""Small cross-cutting utilities (timing, concurrency, BLAS threads)."""
 
+from .blas import blas_threads, set_blas_threads
 from .concurrency import RWLock
 from .timing import (
     format_timing_table,
@@ -12,10 +13,12 @@ from .timing import (
 
 __all__ = [
     "RWLock",
+    "blas_threads",
     "format_timing_table",
     "get_timings",
     "merge_timings",
     "reset_timings",
+    "set_blas_threads",
     "timed",
     "timing_report",
 ]

@@ -41,3 +41,18 @@ class TestRunner:
         assert main(["--steps", "3"]) == 0
         assert main(["table2", "reverse"]) == 0
         assert calls == [None, ["table2", "reverse"]]
+
+    def test_reverse_alone_builds_no_table1_dataset(self, monkeypatch):
+        """Reverse transfer builds its own designs; the Table-1 set is
+        built only for an experiment that takes it."""
+        from repro.experiments import runner
+
+        def no_build(**kwargs):
+            raise AssertionError("the Table-1 dataset was built")
+
+        monkeypatch.setattr(runner, "build_dataset", no_build)
+        monkeypatch.setattr(runner, "run_reverse_transfer",
+                            lambda **kwargs: {"arm9": 0.5})
+        stream = io.StringIO()
+        run_all(["reverse"], steps=2, stream=stream)
+        assert "arm9:" in stream.getvalue()

@@ -24,6 +24,7 @@ from repro.serve import (
     ServingError,
 )
 from repro.serve.server import MAX_BODY_BYTES, MAX_MC_SAMPLES, warm_up
+from repro.util import blas_threads
 
 ATOL = 1e-10
 
@@ -82,6 +83,8 @@ class TestRoutes:
         assert "structs" in body["engine"]
         assert body["coalescer"]["requests"] >= 1
         assert body["model"]["generation"] == 1
+        # An in-process server leaves the host's thread count alone.
+        assert body["blas_threads"] == blas_threads()
 
     def test_window_zero_bypasses_coalescer(self, designs, model,
                                             reference):
@@ -702,3 +705,43 @@ class TestCommandLine:
                                   "--max-batch", "1"])
         assert (args.port, args.batch_window_ms, args.poll_interval,
                 args.max_batch) == (0, 0.0, 0.0, 1)
+
+    def test_one_blas_thread_after_the_model_before_the_warm(
+            self, monkeypatch):
+        """`repro serve` sets one BLAS thread once its model exists (a
+        model trained in the process keeps the default count's bits)
+        and before the start-up warm runs any BLAS call."""
+        import repro.experiments
+        import repro.serve.server as server_mod
+        import repro.util
+        from repro.serve import __main__ as entry
+
+        calls = []
+
+        class Dataset:
+            train, test = [], []
+
+        class Server:
+            def __init__(self, *args, **kwargs):
+                calls.append("server")
+                self.service, self.host, self.port = None, "h", 1
+
+            def start(self):
+                calls.append("start")
+
+            def serve_forever(self):
+                calls.append("serve_forever")
+
+        monkeypatch.setattr(repro.experiments, "build_dataset",
+                            lambda **kwargs: Dataset())
+        monkeypatch.setattr(entry, "load_or_train",
+                            lambda args, dataset: calls.append("model")
+                            or object())
+        monkeypatch.setattr(repro.util, "set_blas_threads",
+                            lambda count: calls.append(("blas", count)))
+        monkeypatch.setattr(server_mod, "PredictionServer", Server)
+        monkeypatch.setattr(server_mod, "warm_up",
+                            lambda service: calls.append("warm") or 0)
+        assert entry.main(["--port", "0"]) == 0
+        assert calls == ["model", ("blas", 1), "server", "warm", "start",
+                         "serve_forever"]
