@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 import numpy as np
-from scipy import stats as sstats
 
 from .datasets import ExperimentDataset, build_dataset
 
@@ -25,6 +24,10 @@ def run_fig6(dataset: Optional[ExperimentDataset] = None,
     "median": ..., "max": ...}}`` with populations ``"130nm train"``,
     ``"7nm train"``, ``"7nm test"``.
     """
+    # Imported here, not at module level: importing repro.experiments
+    # must not cost every process the scipy import (DESIGN.md §26).
+    from scipy import stats as sstats
+
     dataset = dataset or build_dataset()
     populations = {
         "130nm train": np.concatenate(

@@ -142,7 +142,7 @@ def _package_versions() -> Dict[str, Optional[str]]:
         from importlib import metadata
     except ImportError:  # pragma: no cover - py<3.8 only
         metadata = None
-    for package in ("numpy", "scipy", "networkx", "repro"):
+    for package in ("numpy", "scipy", "repro"):
         version: Optional[str] = None
         if metadata is not None:
             try:

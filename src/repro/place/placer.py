@@ -17,8 +17,6 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ..netlist import CellInst, Netlist
 from .floorplan import Floorplan, assign_port_locations, make_floorplan
@@ -61,6 +59,12 @@ class QuadraticPlacer:
     # ------------------------------------------------------------------
     def _solve_quadratic(self) -> Tuple[np.ndarray, np.ndarray]:
         """Minimise clique-model quadratic wirelength with fixed ports."""
+        # Imported here, not at module level: a process that only loads
+        # cached designs never places, so it never pays for scipy
+        # (DESIGN.md §26).
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
         n = len(self.cells)
         lap = sp.lil_matrix((n, n))
         bx = np.zeros(n)

@@ -20,7 +20,7 @@ step is numerically equivalent to the per-design loop (validated to
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -110,13 +110,27 @@ class FusedDesignBatch:
             for off, subset in zip(self._endpoint_offsets, subsets)
         ])
 
-    def stacked_path_images(self,
-                            subsets: Sequence[np.ndarray]) -> np.ndarray:
-        """``(K_total, C, R, R)`` masked images for the sampled paths."""
-        return np.concatenate([
-            design.path_image_stack()[subset]
-            for design, subset in zip(self.designs, subsets)
-        ])
+    def stacked_path_images(self, subsets: Sequence[np.ndarray],
+                            out: Optional[np.ndarray] = None
+                            ) -> np.ndarray:
+        """``(K_total, C, R, R)`` masked images for the sampled paths.
+
+        Each design's rows are gathered straight into its slice of
+        ``out`` (allocated when None), so a caller that keeps ``out``
+        across steps of one batch shape allocates nothing per step.
+        """
+        if out is None:
+            first = self.designs[0].path_image_stack()
+            out = np.empty((sum(len(s) for s in subsets),) + first.shape[1:],
+                           dtype=first.dtype)
+        ranges = slice_ranges([len(s) for s in subsets])
+        for design, subset, (lo, hi) in zip(self.designs, subsets, ranges):
+            # "clip" writes into ``out`` directly ("raise" would stage
+            # the gather in a temporary); subsets index the design's own
+            # endpoints, so no index is clipped.
+            np.take(design.path_image_stack(), subset, axis=0,
+                    out=out[lo:hi], mode="clip")
+        return out
 
     def path_features(self, model, subsets: Sequence[np.ndarray]
                       ) -> Tuple[Tensor, Tensor, Tensor]:

@@ -5,9 +5,10 @@ import pytest
 
 from repro.features import GateVocabulary, normalize_features
 from repro.flow import run_flow
+from repro.infer import weight_digest
 from repro.model import TimingPredictor
 from repro.techlib import make_asap7_library, make_sky130_library
-from repro.train import OursTrainer, TrainConfig
+from repro.train import FusedDesignBatch, OursTrainer, TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -91,3 +92,43 @@ class TestNodeObsVar:
         assert trainer.node_obs_var["130nm"] == pytest.approx(
             expected_130
         )
+
+
+class TestStepImages:
+    def test_one_buffer_per_signature(self, designs, in_features):
+        model = TimingPredictor(in_features, seed=0)
+        trainer = OursTrainer(model, designs,
+                              TrainConfig(steps=1, seed=0,
+                                          holdout_fraction=0.0))
+        first = trainer._step_inputs(trainer._sample_subsets(),
+                                     warmup=False)["images"]
+        subsets = trainer._sample_subsets()
+        again = trainer._step_inputs(subsets, warmup=False)["images"]
+        assert again is first
+        expected = np.concatenate([
+            design.path_image_stack()[subset]
+            for design, subset in zip(trainer.source + trainer.target,
+                                      subsets)])
+        assert np.array_equal(again, expected)
+        # Another signature gets a buffer of its own.
+        fewer = [subset[:5] for subset in subsets]
+        other = trainer._step_inputs(fewer, warmup=False)["images"]
+        assert other is not first and len(other) == 10
+        assert np.array_equal(first, expected)
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_reused_buffer_changes_no_bits(self, designs, in_features,
+                                           monkeypatch, compiled):
+        def run():
+            model = TimingPredictor(in_features, seed=0)
+            cfg = TrainConfig(steps=4, seed=0, holdout_fraction=0.0,
+                              compile=compiled)
+            history = OursTrainer(model, designs, cfg).fit()
+            return [h["total"] for h in history], weight_digest(model)
+
+        reused = run()
+        gather = FusedDesignBatch.stacked_path_images
+        monkeypatch.setattr(
+            FusedDesignBatch, "stacked_path_images",
+            lambda self, subsets, out=None: gather(self, subsets))
+        assert run() == reused
