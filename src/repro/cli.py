@@ -47,6 +47,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def add_build_arguments(parser: argparse.ArgumentParser) -> None:
+    """The dataset-build flags of every command that builds one."""
+    parser.add_argument("--build-workers", type=_positive_int, default=1,
+                        metavar="N",
+                        help="processes for cold dataset builds")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="bypass the on-disk design cache")
+
+
 def _libraries():
     """The paper's two nodes, label -> library."""
     from .techlib import ANCHOR_NMS, NodeLadder
@@ -349,8 +358,8 @@ def cmd_predict(args) -> int:
     from .util import reset_timings, timing_report
 
     reset_timings()
-    dataset = build_dataset(workers=args.workers,
-                            use_cache=not args.no_flow_cache,
+    dataset = build_dataset(workers=args.build_workers,
+                            use_cache=not args.no_cache,
                             cache_dir=args.cache_dir)
     try:
         designs = [dataset.by_name(name) for name in args.designs]
@@ -463,11 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-node", default=None, metavar="NODE",
                    help="transfer target node (default: the smallest "
                         "of --nodes); requires --nodes")
-    p.add_argument("--build-workers", type=_positive_int, default=1,
-                   metavar="N",
-                   help="processes for cold dataset builds")
-    p.add_argument("--no-cache", action="store_true",
-                   help="bypass the on-disk design cache")
+    add_build_arguments(p)
     p.add_argument("--cache-dir", default=None,
                    help="design cache root (default $REPRO_CACHE_DIR)")
     p.add_argument("--no-compile", action="store_true",
@@ -489,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="suffix for the default run directory name")
     p.add_argument("--save-model", default=None, metavar="PATH",
                    help="write a serving checkpoint (weights + node "
-                        "priors) for `repro predict --model`")
+                        "population) for `repro predict --model`")
     p.add_argument("--checkpoint-every", type=int, default=25,
                    metavar="N",
                    help="write a crash-resume checkpoint every N steps "
@@ -518,10 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="repeat the prediction pass (cache warm-up "
                         "demo / profiling)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="processes for cold dataset builds")
-    p.add_argument("--no-flow-cache", action="store_true",
-                   help="bypass the on-disk design cache")
+    add_build_arguments(p)
     p.add_argument("--cache-dir", default=None,
                    help="design cache root (default $REPRO_CACHE_DIR)")
     p.add_argument("--profile", action="store_true",
@@ -561,11 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reverse", action="store_true",
                    help="also run reverse transfer (target at the "
                         "largest node)")
-    p.add_argument("--build-workers", type=_positive_int, default=1,
-                   metavar="N",
-                   help="processes for cold dataset builds")
-    p.add_argument("--no-cache", action="store_true",
-                   help="bypass the on-disk design cache")
+    add_build_arguments(p)
     p.add_argument("--cache-dir", default=None,
                    help="design cache root (default $REPRO_CACHE_DIR)")
     p.add_argument("--run-dir", default=None,

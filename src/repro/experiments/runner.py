@@ -12,6 +12,7 @@ import sys
 import time
 from typing import Optional
 
+from ..cli import add_build_arguments
 from .datasets import build_dataset
 from .extensions import format_calibration, run_uncertainty_calibration
 from .fig1 import format_fig1, run_fig1
@@ -88,13 +89,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--steps", type=int, default=None,
                         help="override training steps (faster, rougher)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="processes for cold dataset builds")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the on-disk design cache")
+    add_build_arguments(parser)
     args = parser.parse_args(argv)
     run_all(args.experiments or None, seed=args.seed, steps=args.steps,
-            workers=args.workers, use_cache=not args.no_cache)
+            workers=args.build_workers, use_cache=not args.no_cache)
     return 0
 
 

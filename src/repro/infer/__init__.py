@@ -7,7 +7,8 @@ See DESIGN.md §9 "Inference architecture":
 - :class:`FeatureCache` / :func:`weight_digest` — per-design extractor
   memoisation invalidated automatically on any parameter change;
 - :func:`save_predictor` / :func:`load_predictor` — serving
-  checkpoints carrying weights *and* the finalised node priors.
+  checkpoints carrying weights *and* the finalised node population
+  that Equation (7) reads each node's prior from.
 """
 
 from .cache import BoundedLRU, FeatureCache, weight_digest

@@ -38,13 +38,10 @@ from typing import Any, Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
+from ..model.predictor import FeatureTriple
 from ..nn import Module
 
 __all__ = ["BoundedLRU", "FeatureCache", "design_key", "weight_digest"]
-
-#: Cached value: ``(u, u_n, u_d)`` numpy arrays over a design's full
-#: endpoint set, detached from any autograd graph.
-FeatureTriple = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def weight_digest(model: Module) -> str:

@@ -13,9 +13,11 @@ has not changed, and a separate prior-MLP forward per design.
   CNN entirely and reduce to two small matmuls;
 - a cold extraction merges its designs into one disjoint-union graph
   (reusing :func:`repro.train.fused.merge_pin_graphs`) for a single
-  levelised sweep, then runs the CNN once per design, and the
-  transductive population-prior update is hoisted out of the
-  per-design loop into one batched prior-MLP forward;
+  levelised sweep, then runs the CNN once per design;
+- the readout is the model's own Equation (7),
+  :meth:`~repro.model.TimingPredictor.predict_from_features`, called
+  once per request batch, so the prior MLPs run once over every
+  design's row instead of once per design;
 - the CNN is the training model's own :class:`~repro.model.LayoutCNN`
   forward under ``no_grad()``, running the registry ops training runs,
   and the *weight-independent* parts of a cold
@@ -76,7 +78,7 @@ from ..util import RWLock, timed
 from .cache import (BoundedLRU, FeatureCache, FeatureTriple, design_key,
                     weight_digest)
 
-__all__ = ["InferenceEngine", "Prediction"]
+__all__ = ["InferenceEngine", "Prediction", "check_unique_names"]
 
 #: LRU bound on the fused batch structures (one per distinct set of
 #: cold-extracted designs) a resident engine keeps across model updates.
@@ -112,6 +114,17 @@ def cnn_forward(cnn: LayoutCNN, images: np.ndarray,
         return cnn(Tensor(images), cols=cols).data
 
 
+def check_unique_names(designs: Sequence[DesignData]) -> None:
+    """Refuse two designs with one name (ValueError naming it): the
+    engine's results and the server's designs are keyed by name."""
+    seen = set()
+    for design in designs:
+        if design.name in seen:
+            raise ValueError(
+                f"design name {design.name!r} appears more than once")
+        seen.add(design.name)
+
+
 class Prediction:
     """One design's serving result (arrays, not tensors)."""
 
@@ -141,13 +154,12 @@ class InferenceEngine:
     Parameters
     ----------
     model:
-        A trained predictor whose node priors have been finalised
+        A trained predictor whose node populations have been finalised
         (``OursTrainer.fit`` does this; so does
         :func:`repro.infer.load_predictor`).
 
-    Every prediction folds each queried design's own (unlabeled) paths
-    into its node population before reading the prior — Equation (7)'s
-    "all the timing paths on the target node", ``predict()``'s default.
+    The engine extracts and caches features; the numbers are the
+    model's Equation (7), the code ``TimingPredictor.predict`` runs.
     """
 
     def __init__(self, model: TimingPredictor) -> None:
@@ -266,77 +278,34 @@ class InferenceEngine:
         return digest, list(zip(missed, triples))
 
     # ------------------------------------------------------------------
-    # Priors (the cheap, per-query half)
-    # ------------------------------------------------------------------
-    def _batched_priors(self, designs: Sequence[DesignData],
-                        triples: Sequence[FeatureTriple]
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(D, m)`` prior mu / log_var rows, one MLP forward for all.
-
-        The transductive update (folding each design's own paths into
-        its node population) happens in plain numpy per design — only
-        the amortisation MLPs, the part worth batching, run once over
-        the stacked ``u_tilde`` rows.
-        """
-        model = self.model
-        rows = []
-        for design, (_, u_n, u_d) in zip(designs, triples):
-            model._prior_weights(design.node)  # raises if not finalised
-            rows.append(model._prior_feature(design.node, extra_un=u_n,
-                                             extra_ud=u_d))
-        with timed("infer.prior"), no_grad():
-            mu, log_var = model.readout.weight_distribution(
-                Tensor(np.concatenate(rows, axis=0)))
-        return mu.data, log_var.data
-
-    # ------------------------------------------------------------------
     # Prediction
     # ------------------------------------------------------------------
-    def _readout(self, u: np.ndarray, mu: np.ndarray,
-                 log_var: np.ndarray, mc_samples: int,
-                 draw: np.random.Generator,
-                 with_std: bool) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Apply the prior readout to features (vectorised MC draws)."""
-        model = self.model
-        if mc_samples > 0:
-            preds = model._sample_prior_predictions(
-                u, mu, log_var, mc_samples, draw)
-            std = preds.std(axis=0) if with_std else None
-            return preds.mean(axis=0), std
-        mean = u @ mu[0] + float(model.readout.bias.data[0])
-        return mean, None
-
     def predict_many(self, designs: Sequence[DesignData],
                      mc_samples: int = 0,
                      with_uncertainty: bool = False,
-                     rng: Optional[np.random.Generator] = None,
                      seed: int = 0) -> Dict[str, Prediction]:
-        """Fused multi-design prediction: one graph sweep and one CNN
-        forward for every cache-missing design, one batched prior-MLP
-        forward for all, then per-design readouts.
+        """Fused multi-design prediction, keyed by design name: one
+        graph sweep and one CNN forward for every cache-missing design,
+        then the model's Equation (7) over every design at once
+        (:meth:`TimingPredictor.predict_from_features`: one prior-MLP
+        forward, per-design readouts).
 
-        When ``rng`` is None each design draws from a fresh
-        ``default_rng(seed)``, so results match per-design
-        ``TimingPredictor.predict(..., seed=seed)`` calls exactly; pass
-        an explicit generator to consume one stream across designs
-        instead.
+        Each design draws from a fresh ``default_rng(seed)``, so results
+        match per-design ``TimingPredictor.predict(..., seed=seed)``
+        calls.  Two designs may not share a name.
         """
-        if with_uncertainty and mc_samples <= 0:
-            raise ValueError("uncertainty needs mc_samples > 0")
+        check_unique_names(designs)
         with self._rw.read(), no_grad(), timed("infer.predict_many"):
             generation = self.generation
             triples = self._features_many(designs)
-            mu_all, lv_all = self._batched_priors(designs, triples)
-            out: Dict[str, Prediction] = {}
-            for i, (design, (u, _, _)) in enumerate(zip(designs, triples)):
-                draw = rng if rng is not None else \
-                    np.random.default_rng(seed)
-                mean, std = self._readout(
-                    u, mu_all[i:i + 1], lv_all[i:i + 1], mc_samples,
-                    draw, with_std=with_uncertainty)
-                out[design.name] = Prediction(design.name, design.node,
-                                              mean, std, generation)
-        return out
+            with timed("infer.eq7"):
+                results = self.model.predict_from_features(
+                    [d.node for d in designs], triples,
+                    mc_samples=mc_samples, with_std=with_uncertainty,
+                    seed=seed)
+        return {design.name: Prediction(design.name, design.node, mean,
+                                        std, generation)
+                for design, (mean, std) in zip(designs, results)}
 
     # ------------------------------------------------------------------
     # Warm-up and hot reload

@@ -2,13 +2,19 @@
 
 ``Module.state_dict`` round-trips a module's trainable parameters,
 but a deployable :class:`~repro.model.TimingPredictor` is more than its
-weights: inference (Equation 7) reads the finalised node-population
-statistics and the per-node prior Gaussians that
-``finalize_node_priors`` caches on the instance.  This module persists
-the whole serving state — constructor config, every tensor (including
-ablation-frozen ones), population sums/counts, node priors — in one
-``.npz`` with no pickled objects, so ``repro train --save-model`` and
+weights: inference (Equation 7) reads the node-population sums and
+counts that ``finalize_node_priors`` records on the instance, and
+reads each node's prior from them per query.  This module persists the
+whole serving state — constructor config, every tensor (including
+ablation-frozen ones), population sums/counts — in one ``.npz`` with
+no pickled objects, so ``repro train --save-model`` and
 ``repro predict --model`` compose into a train-once/serve-many flow.
+
+Format version 2 holds exactly that.  Version 1 archives also carried
+``prior::mu::<node>``/``prior::log_var::<node>`` entries, a function
+of the weights and the population; they still load, and those entries
+are ignored.  A build that reads only version 1 refuses a version-2
+archive at load, so a hot reload of one keeps the old model serving.
 
 Persistence is crash-safe: :func:`save_predictor` stages the archive
 and renames it into place (see
@@ -38,12 +44,15 @@ from ..nn.serialization import (CheckpointError, atomic_savez,
 
 __all__ = ["CheckpointError", "load_predictor", "save_predictor"]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+
+#: Versions :func:`load_predictor` reads (1 carries ignored priors).
+_READABLE_VERSIONS = (1, 2)
 
 
 def save_predictor(model: TimingPredictor,
                    path: Union[str, Path]) -> Path:
-    """Write a trained predictor (weights + finalised priors) to ``path``.
+    """Write a trained predictor (weights + node population) to ``path``.
 
     Atomic (temp file + ``os.replace``) and suffix-exact: the file
     lands at ``path`` verbatim.  Returns the written path.
@@ -51,15 +60,16 @@ def save_predictor(model: TimingPredictor,
     Raises
     ------
     RuntimeError
-        If the model's node priors were never finalised — an untrained
-        predictor cannot serve Equation (7) and must not be deployable.
+        If the model's node population was never finalised — an
+        untrained predictor cannot serve Equation (7) and must not be
+        deployable.
     """
-    population = getattr(model, "_population", None)
-    priors = getattr(model, "_node_priors", None)
-    if not population or not priors:
+    population = model._population
+    if population is None:
         raise RuntimeError(
-            "predictor has no finalised node priors; train it (or call "
-            "finalize_node_priors) before saving a serving checkpoint"
+            "predictor has no finalised node population; train it (or "
+            "call finalize_node_priors) before saving a serving "
+            "checkpoint"
         )
     arrays: Dict[str, np.ndarray] = {
         "meta": np.array(json.dumps({
@@ -75,9 +85,6 @@ def save_predictor(model: TimingPredictor,
         arrays[f"pop::un_sum::{node}"] = value
         arrays[f"pop::un_count::{node}"] = \
             np.array(population["un_count"][node])
-    for node, (mu, log_var) in priors.items():
-        arrays[f"prior::mu::{node}"] = mu
-        arrays[f"prior::log_var::{node}"] = log_var
     return atomic_savez(path, arrays)
 
 
@@ -110,7 +117,7 @@ def load_predictor(path: Union[str, Path], *,
         half-loaded predictor can escape.
     """
     archive = read_archive(_resolve_checkpoint_path(path),
-                           "predictor checkpoint", _FORMAT_VERSION)
+                           "predictor checkpoint", _READABLE_VERSIONS)
     init_config = archive.meta_field("init_config", "in_features")
     wanted = init_config["in_features"]
     if in_features is not None and wanted != in_features:
@@ -128,8 +135,6 @@ def load_predictor(path: Union[str, Path], *,
         "un_count": {node: float(archive.require(f"pop::un_count::{node}"))
                      for node in un_sum},
     }
-    priors = {node: (mu, archive.require(f"prior::log_var::{node}"))
-              for node, mu in archive.section("prior::mu::").items()}
 
     try:
         model = TimingPredictor(**init_config)
@@ -144,5 +149,4 @@ def load_predictor(path: Union[str, Path], *,
         # repro-check: disable=tensor-data-mutation -- checkpoint load writes leaf tensors before any graph exists
         tensors[name].data[...] = value
     model._population = population
-    model._node_priors = priors
     return model

@@ -174,38 +174,35 @@ class BayesianReadout(Module):
     def elbo_loss(self, u: Tensor, z: Tensor, labels: np.ndarray,
                   prior_mu: Tensor, prior_log_var: Tensor,
                   kl_weight: Union[float, Tensor] = 1.0,
-                  obs_var: float = 1.0, prior_weight: float = 1.0,
-                  noise: Optional[Tuple[Tensor, Optional[Tensor]]] = None,
+                  obs_var: float = 1.0,
+                  noise: Optional[Tuple[Tensor, Tensor]] = None,
                   ) -> Tensor:
         """Negative ELBO (Equation 11) plus the direct Eq-7 likelihood.
 
         The ELBO lower-bounds ``log p(y | G', N)`` through the posterior
         q; since inference marginalises W over the *prior* (Equation 7),
         we additionally maximise the predictive likelihood under the
-        prior itself (``prior_weight`` scales it).  This trains the
-        node-level readout that inference actually uses, instead of
-        relying on the KL term to transport fit quality from q to p.
+        prior itself, with weight 1.  This trains the node-level readout
+        that inference actually uses, instead of relying on the KL term
+        to transport fit quality from q to p.
 
         ``noise`` optionally supplies the pre-drawn ``(eps_q, eps_p)``
-        reparameterisation noise (``eps_p`` unused/None when
-        ``prior_weight == 0``); the trainer uses this to make the loss a
-        pure function of its inputs, as compiled replays require.  For
-        the same reason ``kl_weight`` may be a 0-d step-input tensor;
-        the product is ``kl * kl_weight`` either way.
+        reparameterisation noise; the trainer uses this to make the
+        loss a pure function of its inputs, as compiled replays
+        require.  For the same reason ``kl_weight`` may be a 0-d
+        step-input tensor; the product is ``kl * kl_weight`` either way.
         """
         eps_q, eps_p = noise if noise is not None else (None, None)
         nll = self.expected_nll(u, z, labels, obs_var=obs_var, eps=eps_q)
         q_mu, q_log_var = self.weight_distribution(z)
         kl = self.kl_divergence(q_mu, q_log_var, prior_mu, prior_log_var)
         loss = nll + kl * kl_weight
-        if prior_weight > 0.0:
-            y = self._as_label_tensor(labels)
-            preds = self.sample_predictions_from(u, prior_mu, prior_log_var,
-                                                 eps=eps_p)
-            sq = (preds - y) * (preds - y)
-            prior_nll = (0.5 * sq * (1.0 / obs_var)).mean()
-            loss = loss + prior_weight * prior_nll
-        return loss
+        y = self._as_label_tensor(labels)
+        preds = self.sample_predictions_from(u, prior_mu, prior_log_var,
+                                             eps=eps_p)
+        sq = (preds - y) * (preds - y)
+        prior_nll = (0.5 * sq * (1.0 / obs_var)).mean()
+        return loss + prior_nll
 
 
 def build_prior_feature(u_node: Tensor, u_design_all: Tensor) -> Tensor:

@@ -8,7 +8,7 @@ halves; see :mod:`repro.train.trainer`.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -17,6 +17,13 @@ from ..nn import Module, Tensor, no_grad
 from .bayesian import BayesianReadout, build_prior_feature
 from .disentangle import Disentangler
 from .extractor import PathFeatureExtractor
+
+#: Paths sampled from each training design into its node's population
+#: (:meth:`TimingPredictor.finalize_node_priors`).
+POPULATION_PATHS_PER_DESIGN = 128
+
+#: One design's ``(u, u_n, u_d)`` path-feature arrays.
+FeatureTriple = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class TimingPredictor(Module):
@@ -59,6 +66,9 @@ class TimingPredictor(Module):
         self.readout = BayesianReadout(m, hidden=readout_hidden,
                                        mc_samples=mc_samples, rng=rng)
         self.feature_size = m
+        #: Node population sums and counts, set by
+        #: :meth:`finalize_node_priors`; None until then.
+        self._population: Optional[dict] = None
 
     # ------------------------------------------------------------------
     def path_features(self, design: DesignData,
@@ -71,28 +81,31 @@ class TimingPredictor(Module):
 
     @no_grad()
     def finalize_node_priors(self, designs: Sequence[DesignData],
-                             max_paths_per_design: int = 128,
                              seed: int = 0) -> None:
-        """Cache the node-level prior weights p(W | N) for inference.
+        """Record the node populations that p(W | N) is read from.
 
         Equation (7) predicts by marginalising W over the *prior*
         ``p(W | N)`` — the node population distribution — not over the
         per-path variational posterior (q only exists to make training
-        tractable).  This method builds each node's dummy feature
-        ``u_tilde(N)`` from the training designs (mean node-dependent
-        feature of the node, mean design-dependent feature over both
-        nodes) and stores the resulting Gaussian.  Called automatically
-        at the end of :class:`~repro.train.trainer.OursTrainer.fit`.
-        Runs under :func:`~repro.nn.no_grad`: it returns arrays, so no
-        autograd graph is ever recorded.
+        tractable).  This method stores, from at most
+        :data:`POPULATION_PATHS_PER_DESIGN` sampled paths per training
+        design, the sums and counts that each node's dummy feature
+        ``u_tilde(N)`` is built from (mean node-dependent feature of the
+        node, mean design-dependent feature over every node); the prior
+        itself is read per query, in :meth:`predict_from_features`.
+        Called automatically at the end of
+        :class:`~repro.train.trainer.OursTrainer.fit`.  Runs under
+        :func:`~repro.nn.no_grad`: it returns arrays, so no autograd
+        graph is ever recorded.
         """
         rng = np.random.default_rng(seed)
         un_by_node: Dict[str, list] = {}
         ud_all = []
         for design in designs:
             k = design.num_endpoints
-            subset = np.arange(k) if k <= max_paths_per_design else \
-                rng.choice(k, size=max_paths_per_design, replace=False)
+            subset = np.arange(k) if k <= POPULATION_PATHS_PER_DESIGN \
+                else rng.choice(k, size=POPULATION_PATHS_PER_DESIGN,
+                                replace=False)
             _, u_n, u_d = self.path_features(design, subset)
             un_by_node.setdefault(design.node, []).append(u_n.data)
             ud_all.append(u_d.data)
@@ -108,126 +121,114 @@ class TimingPredictor(Module):
             "un_count": {node: float(sum(len(x) for x in f))
                          for node, f in un_by_node.items()},
         }
-        self._node_priors = {}
-        for node in un_by_node:
-            mu, log_var = self._prior_from_population(node)
-            self._node_priors[node] = (mu, log_var)
 
-    def _prior_feature(self, node: str,
-                       extra_un: Optional[np.ndarray] = None,
-                       extra_ud: Optional[np.ndarray] = None
-                       ) -> np.ndarray:
-        """``(1, m)`` dummy feature u_tilde(N) from stored population sums.
-
-        Split out of :meth:`_prior_from_population` so batched inference
-        (``repro.infer``) can stack many designs' rows and amortise the
-        prior MLPs over one forward pass.
-        """
+    def _prior_feature(self, node: str, extra_un: np.ndarray,
+                       extra_ud: np.ndarray) -> np.ndarray:
+        """``(1, m)`` dummy feature u_tilde(N): the stored population of
+        ``node`` with a design's own paths ``extra_un``/``extra_ud``
+        folded in."""
         pop = self._population
-        un_sum = pop["un_sum"][node].copy()
-        un_count = pop["un_count"][node]
-        ud_sum = pop["ud_sum"].copy()
-        ud_count = pop["ud_count"]
-        if extra_un is not None:
-            un_sum += extra_un.sum(axis=0)
-            un_count += len(extra_un)
-        if extra_ud is not None:
-            ud_sum += extra_ud.sum(axis=0)
-            ud_count += len(extra_ud)
+        if pop is None or node not in pop["un_sum"]:
+            raise RuntimeError(
+                f"no node population for {node!r}; train with "
+                "OursTrainer or call finalize_node_priors() first"
+            )
+        un_sum = pop["un_sum"][node] + extra_un.sum(axis=0)
+        un_count = pop["un_count"][node] + len(extra_un)
+        ud_sum = pop["ud_sum"] + extra_ud.sum(axis=0)
+        ud_count = pop["ud_count"] + len(extra_ud)
         return np.concatenate(
             [un_sum / un_count, ud_sum / ud_count]
         ).reshape(1, -1)
 
-    def _prior_from_population(self, node: str,
-                               extra_un: Optional[np.ndarray] = None,
-                               extra_ud: Optional[np.ndarray] = None
-                               ) -> Tuple[np.ndarray, np.ndarray]:
-        """Prior Gaussian from stored population sums (+ optional extras)."""
-        u_tilde = Tensor(self._prior_feature(node, extra_un, extra_ud))
-        mu, log_var = self.readout.weight_distribution(u_tilde)
-        return mu.data.copy(), log_var.data.copy()
+    @no_grad()
+    def predict_from_features(self, nodes: Sequence[str],
+                              features: Sequence[FeatureTriple],
+                              mc_samples: int = 0,
+                              with_std: bool = False,
+                              seed: int = 0
+                              ) -> List[Tuple[np.ndarray,
+                                              Optional[np.ndarray]]]:
+        """Equation (7) for several designs: ``(mean, std)`` per design.
 
-    def _prior_weights(self, node: str) -> Tuple[np.ndarray, np.ndarray]:
-        priors = getattr(self, "_node_priors", None)
-        if not priors or node not in priors:
-            raise RuntimeError(
-                "node priors not finalised; train with OursTrainer or call "
-                "finalize_node_priors() first"
-            )
-        return priors[node]
+        ``features[i]`` is design ``i``'s ``(u, u_n, u_d)`` arrays (from
+        :meth:`path_features`, or the inference engine's cache) and
+        ``nodes[i]`` its node.  Each design's own unlabeled paths join
+        its node's population — the paper conditions on "the
+        distribution of all the timing paths on the target node", which
+        at inference includes the design at hand — and the prior MLPs
+        run once over every design's dummy-feature row.  The readout
+        weight is then the prior mean (``mc_samples == 0``), or
+        ``mc_samples`` draws from the prior Gaussian, from a fresh
+        ``default_rng(seed)`` per design: a design's answer does not
+        depend on which other designs share the call, and inference
+        never touches the training noise RNG.  ``std`` is the MC
+        standard deviation when ``with_std``, else None.
+        """
+        if with_std and mc_samples <= 0:
+            raise ValueError("uncertainty needs mc_samples > 0")
+        rows = np.concatenate([
+            self._prior_feature(node, u_n, u_d)
+            for node, (_, u_n, u_d) in zip(nodes, features)])
+        mu, log_var = (t.data for t in
+                       self.readout.weight_distribution(Tensor(rows)))
+        bias = float(self.readout.bias.data[0])
+        out = []
+        for i, (u, _, _) in enumerate(features):
+            if mc_samples > 0:
+                preds = self._sample_prior_predictions(
+                    u, mu[i:i + 1], log_var[i:i + 1], mc_samples,
+                    np.random.default_rng(seed))
+                out.append((preds.mean(axis=0),
+                            preds.std(axis=0) if with_std else None))
+            else:
+                out.append((u @ mu[i] + bias, None))
+        return out
+
+    def _design_features(self, design: DesignData,
+                         endpoint_subset: Optional[np.ndarray]
+                         ) -> FeatureTriple:
+        """:meth:`path_features` as arrays."""
+        u, u_n, u_d = self.path_features(design, endpoint_subset)
+        return u.data, u_n.data, u_d.data
 
     @no_grad()
     def predict(self, design: DesignData,
                 endpoint_subset: Optional[np.ndarray] = None,
-                mc_samples: int = 0,
-                transductive: bool = True,
-                rng: Optional[np.random.Generator] = None,
-                seed: int = 0) -> np.ndarray:
+                mc_samples: int = 0, seed: int = 0) -> np.ndarray:
         """Arrival-time predictions for a design's endpoints.
 
-        Uses Equation (7): the readout weight is the node-conditioned
-        prior mean ``mu(u_tilde(N))``, applied to each path's feature.
-        With ``transductive=True`` (default) the node population N also
-        includes the queried design's own *unlabeled* paths — the paper
-        conditions on "the distribution of all the timing paths on the
-        target node", which at inference includes the design at hand.
-
-        Parameters
-        ----------
-        mc_samples:
-            0 uses the prior mean (deterministic, the expectation of the
-            MC scheme); > 0 averages that many W samples from the prior.
-        rng, seed:
-            Generator for the MC prior draws (``rng`` wins; otherwise a
-            fresh ``default_rng(seed)``).  Inference never touches the
-            training noise RNG, so identical calls return identical
-            predictions and never mutate model state.
+        Equation (7) (:meth:`predict_from_features`) over the design's
+        freshly extracted features: ``mc_samples == 0`` applies the
+        prior mean (deterministic, the expectation of the MC scheme);
+        ``mc_samples > 0`` averages that many W draws from the prior,
+        seeded by ``seed``.
 
         Runs under :func:`~repro.nn.no_grad` (as does
         :meth:`predict_with_uncertainty`): predictions are arrays, so
         recording an autograd graph would be pure overhead.
         """
-        u, u_n, u_d = self.path_features(design, endpoint_subset)
-        mu, log_var = self._design_prior(design, u_n.data, u_d.data,
-                                         transductive)
-        if mc_samples > 0:
-            rng = rng if rng is not None else np.random.default_rng(seed)
-            preds = self._sample_prior_predictions(u.data, mu, log_var,
-                                                   mc_samples, rng)
-            return preds.mean(axis=0)
-        return u.data @ mu[0] + float(self.readout.bias.data[0])
-
-    def _design_prior(self, design: DesignData, u_n: np.ndarray,
-                      u_d: np.ndarray, transductive: bool
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-        """Node prior, optionally updated with the design's own paths."""
-        self._prior_weights(design.node)  # raises if not finalised
-        if not transductive:
-            return self._prior_weights(design.node)
-        return self._prior_from_population(design.node, extra_un=u_n,
-                                           extra_ud=u_d)
+        [(mean, _)] = self.predict_from_features(
+            [design.node], [self._design_features(design, endpoint_subset)],
+            mc_samples=mc_samples, seed=seed)
+        return mean
 
     @no_grad()
     def predict_with_uncertainty(self, design: DesignData,
                                  endpoint_subset: Optional[np.ndarray] = None,
-                                 mc_samples: int = 16,
-                                 rng: Optional[np.random.Generator] = None,
-                                 seed: int = 0
+                                 mc_samples: int = 16, seed: int = 0
                                  ) -> Tuple[np.ndarray, np.ndarray]:
         """Predictive mean and standard deviation per endpoint.
 
         The paper never evaluates its predictive uncertainty; we expose
         it because the Bayesian head provides it for free (see the
-        calibration ablation in EXPERIMENTS.md).  ``rng``/``seed``
-        select the MC draws exactly as in :meth:`predict`.
+        calibration ablation in EXPERIMENTS.md).  ``seed`` selects the
+        MC draws exactly as in :meth:`predict`.
         """
-        u, u_n, u_d = self.path_features(design, endpoint_subset)
-        mu, log_var = self._design_prior(design, u_n.data, u_d.data,
-                                         transductive=True)
-        rng = rng if rng is not None else np.random.default_rng(seed)
-        preds = self._sample_prior_predictions(u.data, mu, log_var,
-                                               mc_samples, rng)
-        return preds.mean(axis=0), preds.std(axis=0)
+        [(mean, std)] = self.predict_from_features(
+            [design.node], [self._design_features(design, endpoint_subset)],
+            mc_samples=mc_samples, with_std=True, seed=seed)
+        return mean, std
 
     def _sample_prior_predictions(self, u: np.ndarray, mu: np.ndarray,
                                   log_var: np.ndarray, n_samples: int,

@@ -11,10 +11,10 @@ it.
 
 Every checkpoint load stages its archive with :func:`read_archive`
 (every entry read, ``meta`` required and parsed, ``format_version``
-checked) and passes each tensor set it will write through
-:func:`check_tensor_set` (every name and shape) before the first
-write.  Each failure is a :class:`CheckpointError` naming the file and
-the key.
+checked against the versions the caller reads) and passes each tensor
+set it will write through :func:`check_tensor_set` (every name and
+shape) before the first write.  Each failure is a
+:class:`CheckpointError` naming the file and the key.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ import os
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Mapping, Optional, Union
+from typing import (Any, Callable, Dict, Mapping, Optional, Sequence,
+                    Union)
 
 import numpy as np
 
@@ -103,9 +104,9 @@ class Archive:
 
 
 def read_archive(path: Union[str, Path], kind: str,
-                 version: int) -> Archive:
+                 versions: Sequence[int]) -> Archive:
     """Stage every entry of the ``.npz`` at ``path``; its ``meta`` must
-    be a JSON object with ``format_version == version``."""
+    be a JSON object whose ``format_version`` is one of ``versions``."""
     try:
         with np.load(str(path), allow_pickle=False) as archive:
             entries = {key: archive[key] for key in archive.files}
@@ -119,9 +120,10 @@ def read_archive(path: Union[str, Path], kind: str,
     if not isinstance(staged.meta, dict):
         raise staged.error("key 'meta' is not a JSON object")
     found = staged.meta.get("format_version")
-    if found != version:
-        raise staged.error(f"has unsupported format_version {found!r} "
-                           f"(this build reads version {version})")
+    if found not in versions:
+        readable = " or ".join(str(v) for v in versions)
+        raise staged.error(f"key 'meta.format_version' is {found!r}; "
+                           f"this build reads format version {readable}")
     return staged
 
 

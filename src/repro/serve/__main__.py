@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 import math
 
-from ..cli import _positive_int, load_or_train
+from ..cli import _positive_int, add_build_arguments, load_or_train
 
 
 def _port(text: str) -> int:
@@ -54,10 +54,7 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
                              "(0 disables polling; POST /reload "
                              "always works)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="processes for cold dataset builds")
-    parser.add_argument("--no-flow-cache", action="store_true",
-                        help="bypass the on-disk design cache")
+    add_build_arguments(parser)
     parser.add_argument("--cache-dir", default=None,
                         help="design cache root "
                              "(default $REPRO_CACHE_DIR)")
@@ -70,8 +67,8 @@ def run_from_args(args: argparse.Namespace) -> int:
     from .server import PredictionServer, ServerConfig, warm_up
 
     reset_timings()
-    dataset = build_dataset(workers=args.workers,
-                            use_cache=not args.no_flow_cache,
+    dataset = build_dataset(workers=args.build_workers,
+                            use_cache=not args.no_cache,
                             cache_dir=args.cache_dir)
     designs = dataset.train + dataset.test
     model = load_or_train(args, dataset)

@@ -60,6 +60,7 @@ import numpy as np
 
 from ..flow import DesignData
 from ..infer import InferenceEngine, load_predictor, weight_digest
+from ..infer.engine import check_unique_names
 from ..model import TimingPredictor
 from ..nn.serialization import CheckpointError
 from ..util import blas_threads, get_timings
@@ -219,11 +220,10 @@ class PredictionService:
     def __init__(self, designs: Sequence[DesignData],
                  container: ModelContainer,
                  config: Optional[ServerConfig] = None) -> None:
+        check_unique_names(designs)
         self.config = config or ServerConfig()
         self.container = container
-        self.designs: Dict[str, DesignData] = {}
-        for design in designs:
-            self.designs[design.name] = design
+        self.designs: Dict[str, DesignData] = {d.name: d for d in designs}
         self.coalescer: Optional[RequestCoalescer] = None
         if self.config.batch_window_ms > 0:
             self.coalescer = RequestCoalescer(

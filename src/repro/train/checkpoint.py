@@ -59,6 +59,8 @@ RETIRED_CONFIG_KEYS: Dict[str, Any] = {
     "swa_fraction": 1.0,
     # K-node CMD coupling; the deleted "pairwise" coupled every node pair
     "cmd_mode": "vs-target",
+    # weight of the prior-likelihood term; the term is now unconditional
+    "prior_weight": 1.0,
 }
 
 
@@ -201,7 +203,8 @@ def load_checkpoint(path: Union[str, Path]) -> TrainingCheckpoint:
     object is built.  Whether the staged tensors fit a model is
     :meth:`repro.train.OursTrainer.load_checkpoint`'s check.
     """
-    archive = read_archive(path, "training checkpoint", CHECKPOINT_VERSION)
+    archive = read_archive(path, "training checkpoint",
+                           (CHECKPOINT_VERSION,))
     config = dict(archive.meta_field("config"))
     for key, kept in RETIRED_CONFIG_KEYS.items():
         value = config.pop(key, kept)

@@ -52,7 +52,6 @@ class TrainConfig:
     gamma1: float = 1.0
     gamma2: float = 30.0
     kl_weight: float = 1.0
-    prior_weight: float = 1.0
     temperature: float = 0.5
     cmd_order: int = 5
     grad_clip: float = 5.0
@@ -414,7 +413,7 @@ class OursTrainer:
 
         Drawing the noise *here* — in the exact order the historical
         in-graph sampling consumed the generator (per design: posterior
-        draw, then prior draw when ``prior_weight > 0``) — keeps the
+        draw, then prior draw) — keeps the
         run's random stream byte-identical while making the loss a pure
         function of its inputs, which is what lets a compiled replay
         reproduce eager execution bit for bit.  The batch gathers draw
@@ -445,8 +444,7 @@ class OursTrainer:
             labels = np.asarray(design.labels[subset], dtype=float)
             inputs[f"y{i}"] = labels.reshape(1, -1, 1)
             inputs[f"eps_q{i}"] = readout.draw_noise((len(subset), m))
-            if cfg.prior_weight > 0.0:
-                inputs[f"eps_p{i}"] = readout.draw_noise((1, m))
+            inputs[f"eps_p{i}"] = readout.draw_noise((1, m))
         return inputs
 
     def _loss_parts(self, subsets: List[np.ndarray],
@@ -495,13 +493,11 @@ class OursTrainer:
                 prior_mu, prior_lv = priors[design.node]
                 y = step_input(f"y{i}", inputs[f"y{i}"])
                 eps_q = step_input(f"eps_q{i}", inputs[f"eps_q{i}"])
-                eps_p = step_input(f"eps_p{i}", inputs[f"eps_p{i}"]) \
-                    if cfg.prior_weight > 0.0 else None
+                eps_p = step_input(f"eps_p{i}", inputs[f"eps_p{i}"])
                 term = self.model.readout.elbo_loss(
                     u[lo:hi], z[lo:hi], y,
                     prior_mu, prior_lv, kl_weight=kl_weight,
                     obs_var=self.node_obs_var[design.node],
-                    prior_weight=cfg.prior_weight,
                     noise=(eps_q, eps_p),
                 )
                 elbo_total = term if elbo_total is None \

@@ -113,6 +113,16 @@ class TestPredictMany:
         with pytest.raises(ValueError):
             engine.predict_many(designs, with_uncertainty=True)
 
+    def test_repeated_name_is_refused_before_extraction(self, model,
+                                                        designs):
+        """Results are keyed by name: two designs sharing one (the same
+        benchmark on two nodes) are refused, not one dropped."""
+        engine = InferenceEngine(model)
+        twin = dataclasses.replace(designs[1], name=designs[0].name)
+        with pytest.raises(ValueError, match=repr(designs[0].name)):
+            engine.predict_many([designs[0], twin])
+        assert engine.cache_stats()["misses"] == 0
+
     def test_partial_cache_mixes_hit_and_fused_miss(self, model,
                                                     designs, reference):
         engine = InferenceEngine(model)
@@ -203,19 +213,61 @@ class TestSerialization:
     def test_round_trip_preserves_priors_and_population(self, model,
                                                         designs,
                                                         tmp_path):
+        """The archive holds the population; each node's prior, read
+        from it by the loaded weights, is the saved model's."""
         path = tmp_path / "model.npz"
         save_predictor(model, path)
         loaded = load_predictor(path)
-        assert set(loaded._node_priors) == set(model._node_priors)
-        for node, (mu, lv) in model._node_priors.items():
-            np.testing.assert_array_equal(loaded._node_priors[node][0],
-                                          mu)
-            np.testing.assert_array_equal(loaded._node_priors[node][1],
-                                          lv)
-        np.testing.assert_array_equal(loaded._population["ud_sum"],
-                                      model._population["ud_sum"])
-        assert loaded._population["un_count"] == \
-            model._population["un_count"]
+        pop, saved = loaded._population, model._population
+        np.testing.assert_array_equal(pop["ud_sum"], saved["ud_sum"])
+        assert pop["ud_count"] == saved["ud_count"]
+        assert pop["un_count"] == saved["un_count"]
+        assert set(pop["un_sum"]) == set(saved["un_sum"]) == \
+            {d.node for d in designs}
+        for node, un_sum in saved["un_sum"].items():
+            np.testing.assert_array_equal(pop["un_sum"][node], un_sum)
+        for design in designs:
+            np.testing.assert_array_equal(loaded.predict(design),
+                                          model.predict(design))
+
+    def test_version_1_archive_serves_like_version_2(self, model,
+                                                     designs, tmp_path):
+        """A version-1 archive, with the ``prior::`` entries older builds
+        wrote, loads (they are ignored) and serves the arrays the
+        version-2 archive of the same model serves."""
+        import json
+
+        from repro.nn import Tensor, no_grad
+
+        v2 = tmp_path / "v2.npz"
+        save_predictor(model, v2)
+        with np.load(v2, allow_pickle=False) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        assert not any(k.startswith("prior::") for k in arrays)
+        meta = json.loads(str(arrays["meta"]))
+        assert meta["format_version"] == 2
+        arrays["meta"] = np.array(json.dumps({**meta, "format_version": 1}))
+        half = model.feature_size // 2
+        with no_grad():
+            for node in model._population["un_sum"]:
+                row = model._prior_feature(node, np.zeros((0, half)),
+                                           np.zeros((0, half)))
+                mu, log_var = model.readout.weight_distribution(Tensor(row))
+                arrays[f"prior::mu::{node}"] = mu.data
+                arrays[f"prior::log_var::{node}"] = log_var.data
+        v1 = tmp_path / "v1.npz"
+        np.savez_compressed(v1, **arrays)
+
+        kwargs = dict(mc_samples=16, with_uncertainty=True, seed=3)
+        old = InferenceEngine(load_predictor(v1)).predict_many(designs,
+                                                               **kwargs)
+        new = InferenceEngine(load_predictor(v2)).predict_many(designs,
+                                                               **kwargs)
+        for design in designs:
+            np.testing.assert_array_equal(old[design.name].mean,
+                                          new[design.name].mean)
+            np.testing.assert_array_equal(old[design.name].std,
+                                          new[design.name].std)
 
     def test_untrained_model_refuses_to_save(self, designs, tmp_path):
         from repro.model import TimingPredictor
@@ -242,6 +294,22 @@ class TestSerialization:
         np_.savez_compressed(path, **arrays)
         with pytest.raises(CheckpointError, match="version"):
             load_predictor(path)
+
+    def test_format_version_3_is_refused(self, model, tmp_path):
+        import json
+
+        from repro.nn import CheckpointError
+
+        path = tmp_path / "model.npz"
+        save_predictor(model, path)
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        meta = json.loads(str(arrays["meta"]))
+        arrays["meta"] = np.array(json.dumps({**meta, "format_version": 3}))
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(CheckpointError) as excinfo:
+            load_predictor(path)
+        assert "'meta.format_version' is 3" in str(excinfo.value)
 
     def test_save_is_suffix_exact(self, model, tmp_path):
         """No silent ``.npz`` append: the file lands at the requested
@@ -282,9 +350,9 @@ class TestSerialization:
 
     def test_missing_key_is_named(self, model, tmp_path):
         """Dropping any one entry is refused, naming it — a weight as
-        much as a prior (a missing weight must not be served at its
-        freshly initialised value) — and so is a ``meta.init_config``
-        that does not build a predictor."""
+        much as a population count (a missing weight must not be
+        served at its freshly initialised value) — and so is a
+        ``meta.init_config`` that does not build a predictor."""
         import json
 
         import numpy as np_
@@ -306,7 +374,7 @@ class TestSerialization:
             meta["init_config"] = init_config
             return {**saved, "meta": np_.array(json.dumps(meta))}
 
-        victim = next(k for k in saved if k.startswith("prior::log_var"))
+        victim = next(k for k in saved if k.startswith("pop::un_count::"))
         cases = [
             (without(victim), victim),
             (without("param::readout.w_base"), "param::readout.w_base"),

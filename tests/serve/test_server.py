@@ -313,7 +313,6 @@ class TestHotReload:
         wide = TimingPredictor(designs[0].graph.features.shape[1] + 3,
                                seed=1)
         wide._population = model._population
-        wide._node_priors = model._node_priors
         with self._serve(designs, model, model_file) as srv:
             with ServingClient(srv.host, srv.port) as c:
                 save_predictor(wide, model_file)
@@ -655,6 +654,17 @@ class TestConfigAndLifecycle:
         srv.start()
         srv.stop()
         srv.stop()
+
+    def test_repeated_design_name_is_refused(self, designs, model):
+        """Designs are served by name: a second design of one name (the
+        same benchmark on another node) is refused, not shadowed."""
+        import dataclasses
+
+        twin = dataclasses.replace(designs[1], name=designs[0].name)
+        container = ModelContainer(model, designs=[designs[0], twin])
+        with pytest.raises(ValueError, match=repr(designs[0].name)):
+            PredictionService([designs[0], twin], container,
+                              ServerConfig(port=0))
 
     def test_warm_up_primes_cache(self, designs, model):
         config = ServerConfig(port=0, batch_window_ms=0.0)

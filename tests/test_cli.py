@@ -119,3 +119,52 @@ class TestReportRunCommand:
         assert main(["report-run", str(tmp_path / "absent")]) == 1
         assert "not a run directory" in capsys.readouterr().out
 
+
+
+class TestBuildFlags:
+    """Every command that builds the dataset spells its build options
+    ``--build-workers N`` (N >= 1) and ``--no-cache``."""
+
+    COMMANDS = ["train", "ladder", "predict", "serve", "experiments"]
+
+    @staticmethod
+    def parse(command, argv, monkeypatch):
+        """``(build_workers, no_cache)`` as ``command`` parses ``argv``."""
+        if command == "serve":
+            import argparse
+
+            from repro.serve.__main__ import add_serve_arguments
+
+            parser = argparse.ArgumentParser()
+            add_serve_arguments(parser)
+            args = parser.parse_args(argv)
+            return args.build_workers, args.no_cache
+        if command == "experiments":
+            from repro.experiments import runner
+
+            seen = {}
+            monkeypatch.setattr(runner, "run_all",
+                                lambda names, **kw: seen.update(kw))
+            runner.main(argv)
+            return seen["workers"], not seen["use_cache"]
+        positional = ["usbf_device"] if command == "predict" else []
+        args = build_parser().parse_args([command, *positional, *argv])
+        return args.build_workers, args.no_cache
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_spelling(self, command, monkeypatch):
+        assert self.parse(command, [], monkeypatch) == (1, False)
+        assert self.parse(command, ["--build-workers", "2", "--no-cache"],
+                          monkeypatch) == (2, True)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("argv", [["--build-workers", "0"],
+                                      ["--build-workers", "-3"],
+                                      ["--workers=2"],
+                                      ["--no-flow-cache"]])
+    def test_bad_or_old_spelling_exits_2(self, command, argv, monkeypatch,
+                                         capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            self.parse(command, argv, monkeypatch)
+        assert excinfo.value.code == 2
+        assert argv[0] in capsys.readouterr().err
