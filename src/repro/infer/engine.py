@@ -292,9 +292,12 @@ class InferenceEngine:
 
         Each design draws from a fresh ``default_rng(seed)``, so results
         match per-design ``TimingPredictor.predict(..., seed=seed)``
-        calls.  Two designs may not share a name.
+        calls.  Two designs may not share a name; no designs, no
+        predictions.
         """
         check_unique_names(designs)
+        if not designs:
+            return {}
         with self._rw.read(), no_grad(), timed("infer.predict_many"):
             generation = self.generation
             triples = self._features_many(designs)

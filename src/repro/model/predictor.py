@@ -163,10 +163,13 @@ class TimingPredictor(Module):
         ``default_rng(seed)`` per design: a design's answer does not
         depend on which other designs share the call, and inference
         never touches the training noise RNG.  ``std`` is the MC
-        standard deviation when ``with_std``, else None.
+        standard deviation when ``with_std``, else None.  No designs,
+        no results.
         """
         if with_std and mc_samples <= 0:
             raise ValueError("uncertainty needs mc_samples > 0")
+        if not features:
+            return []
         rows = np.concatenate([
             self._prior_feature(node, u_n, u_d)
             for node, (_, u_n, u_d) in zip(nodes, features)])

@@ -17,8 +17,12 @@ keep scratch buffers in it, and a caller may seed it with inputs the
 op would otherwise recompute (serving's cached conv columns).  No
 forward leaves whole-batch intermediates there for its backward:
 ``conv2d`` unfolds its columns a chunk of samples at a time and the
-backward unfolds them again.  Both execution modes run these same
-functions, so they compute the same numbers by construction:
+backward unfolds them again.  Inside a training step
+(:func:`repro.util.training_step`) ``conv2d`` and ``max_pool2d`` split
+their samples into contiguous parts that run on the kernel workers,
+each writing its own rows; the bits are those of the serial call.
+Both execution modes run these same functions, so they compute the
+same numbers by construction:
 
 - **eager** — :func:`repro.nn.tensor.apply` runs ``forward`` with
   ``out=None`` and a fresh ``state``, and the node's backward closure
@@ -36,9 +40,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from ..util.threads import run_parts, step_workers
 
 __all__ = ["Op", "OPS", "im2col"]
 
@@ -469,14 +475,39 @@ def _conv_chunks(x: np.ndarray, w: np.ndarray, attrs
     return oh, ow, [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
+def _parts(items: Sequence) -> List[Sequence]:
+    """``items`` cut into contiguous runs, one per kernel worker.
+
+    Inside a training step a kernel runs one run per worker
+    (:func:`repro.util.threads.run_parts`); anywhere else the one run
+    is all of ``items``.  Runs differ in length by at most one.
+    """
+    count = max(1, min(len(items), step_workers()))
+    size, extra = divmod(len(items), count)
+    bounds = [i * size + min(i, extra) for i in range(count + 1)]
+    return [items[bounds[i]:bounds[i + 1]] for i in range(count)]
+
+
+def _part_state(state: dict, part: Sequence[Tuple[int, int]]) -> dict:
+    """The scratch of the part that starts at ``part``'s first sample.
+
+    The first part keeps its buffers in ``state`` itself, so a serial
+    call allocates no more than it did before kernels split.
+    """
+    lo = part[0][0] if part else 0
+    return state if lo == 0 else state.setdefault(f"part@{lo}", {})
+
+
 def _conv2d(ins, attrs, out, state):
     """GEMM over im2col columns; ``ins`` is ``(x, weight[, bias])``.
 
     The batch is unfolded and multiplied a chunk of about
     ``_CHUNK_BYTES`` of columns at a time, into one reused column
     buffer, so each chunk's GEMM reads columns still in cache and no
-    whole-batch column buffer exists.  A caller that convolves one
-    input under many weight versions (serving) seeds
+    whole-batch column buffer exists.  Inside a training step the
+    chunks are split into contiguous parts that run on the kernel
+    workers, each with its own column buffer.  A caller that convolves
+    one input under many weight versions (serving) seeds
     ``state["cached_cols"]`` with its :func:`im2col` columns; the
     forward is then one batched GEMM over them.  A compiled replay's
     state never holds them, so every replay unfolds its current input.
@@ -491,15 +522,21 @@ def _conv2d(ins, attrs, out, state):
     cached = state.get("cached_cols")
     if cached is not None:
         chunks = [(0, n)]
-    for lo, hi in chunks:
-        cols = cached if cached is not None else im2col(
-            x[lo:hi], (kh, kw), attrs["stride"], attrs["padding"], state)
-        # Batched GEMM (BLAS): (o,k) @ (m,k,l) -> (m,o,l).
-        part = np.matmul(w.reshape(c_out, ckk),
-                         cols.reshape(hi - lo, ckk, oh * ow),
-                         out=res[lo:hi])
-        if len(ins) == 3:
-            np.add(part, ins[2][None, :, None], out=part)
+
+    def work(part):
+        scratch = _part_state(state, part)
+        for lo, hi in part:
+            cols = cached if cached is not None else im2col(
+                x[lo:hi], (kh, kw), attrs["stride"], attrs["padding"],
+                scratch)
+            # Batched GEMM (BLAS): (o,k) @ (m,k,l) -> (m,o,l).
+            rows = np.matmul(w.reshape(c_out, ckk),
+                             cols.reshape(hi - lo, ckk, oh * ow),
+                             out=res[lo:hi])
+            if len(ins) == 3:
+                np.add(rows, ins[2][None, :, None], out=rows)
+
+    run_parts(work, _parts(chunks))
     return out
 
 
@@ -509,10 +546,11 @@ def _conv2d_grad(g, ins, out, attrs, need, state):
 
     Per chunk: the weight gradient's per-sample products, and the
     column gradient (one GEMM per sample) folded back onto the chunk's
-    rows of the padded input gradient with ``kh*kw`` adds.  The
-    products are summed over the batch once every chunk is done, so
-    each element goes through the operations of a whole-batch kernel
-    in the same order.
+    rows of the padded input gradient with ``kh*kw`` adds.  Inside a
+    training step the chunks run in the forward's parts, each writing
+    its own rows.  The products are summed over the batch once every
+    chunk is done, so each element goes through the operations of a
+    whole-batch kernel in the same order.
     """
     x, w = ins[0], ins[1]
     stride, padding = attrs["stride"], attrs["padding"]
@@ -523,31 +561,36 @@ def _conv2d_grad(g, ins, out, attrs, need, state):
     g3 = g.reshape(n, c_out, oh * ow)
     cached = state.get("cached_cols")
     g_x = g_w = g_b = None
-    if len(ins) == 3 and need[2]:
-        g_b = g3.sum(axis=(0, 2))
     if need[1]:
         products = _scratch(state, "g_w_samples", (n, c_out, ckk), g.dtype)
     if need[0]:
         gpad = _scratch(state, "g_pad", (n, c, h + 2 * padding,
                                          wd + 2 * padding), g.dtype,
                         zero=True)
-    for lo, hi in chunks:
-        m = hi - lo
-        if need[1]:
-            cols = cached[lo:hi] if cached is not None else im2col(
-                x[lo:hi], (kh, kw), stride, padding, state)
-            np.matmul(g3[lo:hi], cols.reshape(m, ckk, oh * ow)
-                      .transpose(0, 2, 1), out=products[lo:hi])
-        if need[0]:
-            g_cols = _scratch(state, "g_cols", (m, ckk, oh * ow),
-                              g.dtype)[:m]
-            np.matmul(w.reshape(c_out, ckk).T, g3[lo:hi], out=g_cols)
-            # Fold the column gradient back onto the (padded) input.
-            patches = g_cols.reshape(m, c, kh, kw, oh, ow)
-            for i in range(kh):
-                for j in range(kw):
-                    gpad[lo:hi, :, i:i + stride * oh:stride,
-                         j:j + stride * ow:stride] += patches[:, :, i, j]
+
+    def work(part):
+        scratch = _part_state(state, part)
+        for lo, hi in part:
+            m = hi - lo
+            if need[1]:
+                cols = cached[lo:hi] if cached is not None else im2col(
+                    x[lo:hi], (kh, kw), stride, padding, scratch)
+                np.matmul(g3[lo:hi], cols.reshape(m, ckk, oh * ow)
+                          .transpose(0, 2, 1), out=products[lo:hi])
+            if need[0]:
+                g_cols = _scratch(scratch, "g_cols", (m, ckk, oh * ow),
+                                  g.dtype)[:m]
+                np.matmul(w.reshape(c_out, ckk).T, g3[lo:hi], out=g_cols)
+                # Fold the column gradient back onto the (padded) input.
+                patches = g_cols.reshape(m, c, kh, kw, oh, ow)
+                for i in range(kh):
+                    for j in range(kw):
+                        gpad[lo:hi, :, i:i + stride * oh:stride,
+                             j:j + stride * ow:stride] += patches[:, :, i, j]
+
+    run_parts(work, _parts(chunks))
+    if len(ins) == 3 and need[2]:
+        g_b = g3.sum(axis=(0, 2))
     if need[0]:
         g_x = gpad[:, :, padding:padding + h, padding:padding + wd]
     if need[1]:
@@ -574,16 +617,23 @@ def _offset_slices(a: np.ndarray, attrs) -> List[np.ndarray]:
 
 
 def _max_pool2d(ins, attrs, out, state):
-    """A running elementwise maximum over the kernel-offset slices."""
-    first, *rest = _offset_slices(ins[0], attrs)
+    """A running elementwise maximum over the kernel-offset slices,
+    over contiguous sample ranges split as :func:`_parts` says."""
+    x = ins[0]
     if out is None:
-        out = first.copy()
-    else:
-        np.copyto(out, first)
-    for part in rest:
-        # Of two equal values np.maximum returns its second operand, so
-        # each window keeps the first of its maxima (0.0 vs -0.0).
-        np.maximum(part, out, out=out)
+        out = np.empty(x.shape[:2] + _pool_hw(x, attrs), x.dtype)
+
+    def work(rows):
+        first, *rest = _offset_slices(x[rows.start:rows.stop], attrs)
+        res = out[rows.start:rows.stop]
+        np.copyto(res, first)
+        for part in rest:
+            # Of two equal values np.maximum returns its second
+            # operand, so each window keeps the first of its maxima
+            # (0.0 vs -0.0).
+            np.maximum(part, res, out=res)
+
+    run_parts(work, _parts(range(x.shape[0])))
     return out
 
 
@@ -592,7 +642,8 @@ def _max_pool2d_grad(g, ins, out, attrs, need, state):
 
     That is the cell ``argmax`` over the flattened window picks, ties
     included; a window holding NaN routes to its first NaN, as
-    ``argmax`` does.
+    ``argmax`` does.  Every pass is elementwise per sample, so sample
+    ranges split as :func:`_parts` says run independently.
     """
     x = ins[0]
     kernel, stride = attrs["kernel"], attrs["stride"]
@@ -602,32 +653,40 @@ def _max_pool2d_grad(g, ins, out, attrs, need, state):
     tiling = stride == kernel and x.shape[2] % kernel == 0 \
         and x.shape[3] % kernel == 0
     g_x = _scratch(state, "g_x", x.shape, g.dtype, zero=not tiling)
-    free = _scratch(state, "free", out.shape, np.bool_)
-    hit = _scratch(state, "hit", out.shape, np.bool_)
-    free.fill(True)
+    free_all = _scratch(state, "free", out.shape, np.bool_)
+    hit_all = _scratch(state, "hit", out.shape, np.bool_)
     # The integer type of g's width: a product with ``hit`` keeps g's
     # bits (-0.0 included) where it is 1 and writes +0.0 where it is 0.
     bits = np.dtype(f"i{g.dtype.itemsize}")
-    # NaN equals nothing: windows still free after the equality pass
-    # hold NaN, and the second pass claims their first NaN.
-    for match in (functools.partial(np.equal, out), np.isnan):
-        for part, g_part in zip(_offset_slices(x, attrs),
-                                _offset_slices(g_x, attrs)):
-            match(part, out=hit)
-            hit &= free
-            free ^= hit
-            if overlapping:
-                np.add(g_part, g, out=g_part, where=hit)
-            elif match is np.isnan:
-                np.copyto(g_part, g, where=hit)
-            else:
-                # Each cell belongs to one window and this pass visits
-                # it once, so the slice is written whole: assigning
-                # keeps a -0.0 gradient, which adding to the zeroed
-                # buffer loses.
-                np.multiply(g.view(bits), hit, out=g_part.view(bits))
-        if not free.any():
-            break
+
+    def work(rows):
+        rows = slice(rows.start, rows.stop)
+        g_rows, out_rows = g[rows], out[rows]
+        free, hit = free_all[rows], hit_all[rows]
+        free.fill(True)
+        # NaN equals nothing: windows still free after the equality
+        # pass hold NaN, and the second pass claims their first NaN.
+        for match in (functools.partial(np.equal, out_rows), np.isnan):
+            for part, g_part in zip(_offset_slices(x[rows], attrs),
+                                    _offset_slices(g_x[rows], attrs)):
+                match(part, out=hit)
+                hit &= free
+                free ^= hit
+                if overlapping:
+                    np.add(g_part, g_rows, out=g_part, where=hit)
+                elif match is np.isnan:
+                    np.copyto(g_part, g_rows, where=hit)
+                else:
+                    # Each cell belongs to one window and this pass
+                    # visits it once, so the slice is written whole:
+                    # assigning keeps a -0.0 gradient, which adding to
+                    # the zeroed buffer loses.
+                    np.multiply(g_rows.view(bits), hit,
+                                out=g_part.view(bits))
+            if not free.any():
+                break
+
+    run_parts(work, _parts(range(x.shape[0])))
     return (g_x,)
 
 

@@ -157,6 +157,47 @@ def _package_versions() -> Dict[str, Optional[str]]:
     return versions
 
 
+def _cpu_model() -> Optional[str]:
+    """The CPU's model name from ``/proc/cpuinfo``, else the platform's."""
+    import platform
+
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                key, _, value = line.partition(":")
+                if key.strip() == "model name":
+                    return value.strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine() or None
+
+
+def _host() -> Dict[str, Any]:
+    """What a run's bits depend on beyond code, config and seeds.
+
+    Training runs every BLAS call on one thread (DESIGN.md §11), so its
+    loss stream and weights do not depend on the core count; they do on
+    numpy's BLAS build and the CPU kernels it picked (``corename``).
+    ``kernel_workers`` is how many threads a step's CNN kernels split
+    over: it moves step times, not bits.
+    """
+    import numpy as np
+
+    from ..util import kernel_workers
+    from ..util.blas import blas_corename
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):   # numpy < 1.26 has no dict mode
+        blas = {}
+    return {
+        "cpu": _cpu_model(),
+        "blas": {"name": blas.get("name"), "version": blas.get("version"),
+                 "corename": blas_corename()},
+        "kernel_workers": kernel_workers(),
+    }
+
+
 def build_manifest(config: Any = None,
                    seeds: Optional[Mapping[str, int]] = None,
                    extra: Optional[Mapping[str, Any]] = None
@@ -199,6 +240,7 @@ def build_manifest(config: Any = None,
             "git_sha": _git_sha(),
         },
         "versions": _package_versions(),
+        "host": _host(),
     }
     if extra:
         manifest.update({str(k): v for k, v in extra.items()})

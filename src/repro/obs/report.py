@@ -175,6 +175,13 @@ def render_run(run_dir: Union[str, Path],
         head.append(f"python {versions.get('python', '?')}")
         head.append(f"numpy {versions.get('numpy', '?')}")
         sections.append("  ".join(head))
+        host = manifest.get("host")
+        if host:
+            blas = host.get("blas") or {}
+            sections.append(
+                f"host: {host.get('cpu')}  blas {blas.get('name')} "
+                f"{blas.get('version')} ({blas.get('corename')} kernels)  "
+                f"kernel workers {host.get('kernel_workers')}")
         config = manifest.get("train_config") or {}
         if config:
             pairs = ", ".join(f"{k}={v}" for k, v in sorted(config.items()))

@@ -6,7 +6,11 @@ A run directory holds exactly three artifacts (see
 ``manifest.json``
     One JSON object describing *what was run*: the full training
     config, every seed, code-version markers (flow cache salt, git
-    SHA), and package versions.
+    SHA), package versions, and the ``host`` the bits depend on
+    (:data:`MANIFEST_HOST`): numpy's BLAS build and the CPU kernels it
+    picked, the CPU model, and the kernel worker count.  A manifest
+    written before hosts were recorded has no ``host``; one that has it
+    has every field.
 
 ``steps.jsonl``
     One JSON object per line, streamed during training.  Every record
@@ -34,6 +38,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 __all__ = [
     "BENCH_INFERENCE_SCHEMA",
     "BENCH_SERVING_SCHEMA",
+    "MANIFEST_HOST",
     "MANIFEST_REQUIRED",
     "RECORD_SCHEMAS",
     "SUMMARY_REQUIRED",
@@ -81,6 +86,16 @@ MANIFEST_REQUIRED = (
     "code.code_salt",
     "versions.python",
     "versions.numpy",
+)
+
+#: Dotted paths every ``host`` section carries: two runs whose loss or
+#: weight digests differ can be told apart by these (DESIGN.md §11).
+MANIFEST_HOST = (
+    "host.cpu",
+    "host.blas.name",
+    "host.blas.version",
+    "host.blas.corename",
+    "host.kernel_workers",
 )
 
 #: Top-level keys every summary must carry.
@@ -141,7 +156,9 @@ def validate_manifest(manifest: Any) -> List[str]:
     if not isinstance(manifest, Mapping):
         return ["manifest is not an object"]
     errors = []
-    for dotted in MANIFEST_REQUIRED:
+    required = MANIFEST_REQUIRED + (MANIFEST_HOST if "host" in manifest
+                                    else ())
+    for dotted in required:
         try:
             _dig(manifest, dotted)
         except KeyError:

@@ -76,8 +76,10 @@ def run_from_args(args: argparse.Namespace) -> int:
         return 1
     # Every BLAS call on the thread that makes it: an idle OpenBLAS
     # worker busy-waits and would hold a core the request threads need
-    # (DESIGN.md §25).  Set only now, so a model trained above keeps
-    # the bits of the default thread count.
+    # (DESIGN.md §25).  Set before the start-up warm and the server's
+    # threads, the BLAS work it is for.  A model trained above already
+    # ran its fit at one thread (DESIGN.md §11), so where this line
+    # sits decides none of its bits.
     set_blas_threads(1)
 
     config = ServerConfig(host=args.host, port=args.port,

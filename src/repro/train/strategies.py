@@ -27,6 +27,7 @@ from ..model import DAC23Model
 from ..nn import Adam, Tensor
 from ..nn import functional as F
 from ..obs import NullRunLogger, RunLogger
+from ..util import one_blas_thread, training_step
 from .batching import sample_endpoints, sample_from_pool, split_by_node
 from .selection import CheckpointKeeper, HoldoutSelector
 from .trainer import TrainConfig
@@ -37,25 +38,31 @@ def _mse_step(model: DAC23Model, designs: Sequence[DesignData],
               rng: np.random.Generator, grad_clip: float,
               head_of: Callable[[DesignData], int],
               selector: Optional[HoldoutSelector] = None) -> float:
-    """One MSE step over ``designs``; returns the loss value."""
-    total = None
-    for design in designs:
-        pool = selector.training_pool(design) if selector else None
-        if pool is not None:
-            subset = sample_from_pool(pool, batch_endpoints, rng)
-        else:
-            subset = sample_endpoints(design, batch_endpoints, rng)
-        pred = model(design, subset, head=head_of(design))
-        y = Tensor(design.labels[subset].reshape(-1, 1))
-        term = F.mse_loss(pred, y)
-        total = term if total is None else total + term
-    optimizer.zero_grad()
-    total.backward()
-    optimizer.clip_grad_norm(grad_clip)
-    optimizer.step()
+    """One MSE step over ``designs``; returns the loss value.
+
+    Runs in :func:`~repro.util.training_step`, as the paper's model's
+    step does: one BLAS thread, split CNN kernels.
+    """
+    with training_step():
+        total = None
+        for design in designs:
+            pool = selector.training_pool(design) if selector else None
+            if pool is not None:
+                subset = sample_from_pool(pool, batch_endpoints, rng)
+            else:
+                subset = sample_endpoints(design, batch_endpoints, rng)
+            pred = model(design, subset, head=head_of(design))
+            y = Tensor(design.labels[subset].reshape(-1, 1))
+            term = F.mse_loss(pred, y)
+            total = term if total is None else total + term
+        optimizer.zero_grad()
+        total.backward()
+        optimizer.clip_grad_norm(grad_clip)
+        optimizer.step()
     return total.item()
 
 
+@one_blas_thread()
 def _run_loop(model: DAC23Model, designs: Sequence[DesignData],
               steps: int, config: TrainConfig,
               head_of: Callable[[DesignData], int],
@@ -72,7 +79,9 @@ def _run_loop(model: DAC23Model, designs: Sequence[DesignData],
     same telemetry schema the paper's trainer emits (loss, lr, step
     wall-time per step; validation events; the final-weights source),
     with ``stage``/``step_offset`` distinguishing multi-phase recipes
-    such as PT-FT's pretrain/finetune loops.
+    such as PT-FT's pretrain/finetune loops.  Like
+    :meth:`~repro.train.trainer.OursTrainer.fit`, the loop runs every
+    BLAS call on one thread, validations included.
     """
     logger = logger if logger is not None else NullRunLogger()
     optimizer = Adam(model.parameters(), lr=config.lr)

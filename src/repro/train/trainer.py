@@ -26,7 +26,7 @@ from ..nn import (Adam, CheckpointError, CompiledStep, CompileError,
                   ReplayMismatch, Tensor, step_index, step_input, trace)
 from ..nn.serialization import check_tensor_set
 from ..obs import NullRunLogger, RunLogger
-from ..util import timed
+from ..util import one_blas_thread, timed, training_step
 from .batching import sample_endpoints, sample_from_pool
 from .checkpoint import (CHECKPOINT_NAME, TrainingCheckpoint,
                          optimizer_entries, restore_rng, save_checkpoint)
@@ -612,18 +612,24 @@ class OursTrainer:
         preallocated buffers — bit-for-bit identical results in
         float64, so eager and compiled runs are interchangeable mid-run
         via checkpoints.  Any compile failure falls back to eager.
+
+        The step runs in :func:`~repro.util.training_step`: every BLAS
+        call on one thread, so the loss stream and weights do not
+        depend on the host's core count, and the CNN kernels split over
+        the cores the BLAS worker no longer spins on.
         """
         start = time.perf_counter()
         cfg = self.config
-        subsets = self._sample_subsets()
-        inputs = self._step_inputs(subsets, warmup)
-        values = None
-        if cfg.compile:
-            values = self._grads_compiled(subsets, inputs)
-        if values is None:
-            values = self._grads_eager(subsets, inputs)
-        grad_norm = float(self.optimizer.clip_grad_norm(cfg.grad_clip))
-        self.optimizer.step()
+        with training_step():
+            subsets = self._sample_subsets()
+            inputs = self._step_inputs(subsets, warmup)
+            values = None
+            if cfg.compile:
+                values = self._grads_compiled(subsets, inputs)
+            if values is None:
+                values = self._grads_eager(subsets, inputs)
+            grad_norm = float(self.optimizer.clip_grad_norm(cfg.grad_clip))
+            self.optimizer.step()
         return {
             "total": values["total"],
             "elbo": values["elbo"],
@@ -636,6 +642,7 @@ class OursTrainer:
             "step_seconds": time.perf_counter() - start,
         }
 
+    @one_blas_thread()
     def fit(self, steps: Optional[int] = None) -> List[Dict[str, float]]:
         """Run the full loop; returns per-step loss history.
 
@@ -660,6 +667,11 @@ class OursTrainer:
         resumed.  After :meth:`load_checkpoint`, ``fit`` continues from
         the recorded step and the completed run is bit-for-bit
         identical to an uninterrupted one.
+
+        The whole fit runs every BLAS call on one thread, as each step
+        does (:func:`~repro.util.one_blas_thread`): validation scores,
+        and so the checkpoint kept, and the node population do not
+        depend on the core count either.
         """
         steps = steps or self.config.steps
         warmup_steps = int(self.config.warmup_fraction * steps)

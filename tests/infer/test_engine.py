@@ -123,6 +123,18 @@ class TestPredictMany:
             engine.predict_many([designs[0], twin])
         assert engine.cache_stats()["misses"] == 0
 
+    def test_no_designs_no_predictions(self, model, monkeypatch):
+        """An empty batch answers an empty mapping, as the predictor's
+        Equation (7) answers an empty list, before any weight digest
+        or extraction."""
+        engine = InferenceEngine(model)
+        monkeypatch.setattr(engine, "_digest", None)   # any call raises
+        assert engine.predict_many([]) == {}
+        assert engine.predict_many([], mc_samples=4,
+                                   with_uncertainty=True) == {}
+        assert model.predict_from_features([], []) == []
+        assert engine.cache_stats()["misses"] == 0
+
     def test_partial_cache_mixes_hit_and_fused_miss(self, model,
                                                     designs, reference):
         engine = InferenceEngine(model)
@@ -136,6 +148,34 @@ class TestPredictMany:
             np.testing.assert_allclose(out[design.name].mean,
                                        reference[design.name],
                                        atol=ATOL)
+
+
+class TestSerialKernels:
+    def test_serving_never_reaches_the_kernel_pool(self, model,
+                                                   fresh_model, designs,
+                                                   monkeypatch):
+        """Only a training step splits kernels: a cold and a warm
+        ``predict_many`` and a reload's staged warm run every kernel on
+        their caller, whatever the host's core count."""
+        from repro.util import threads, training_step
+
+        def no_pool():
+            raise AssertionError("a serving kernel reached the pool")
+
+        monkeypatch.setattr(threads, "kernel_workers", lambda: 2)
+        monkeypatch.setattr(threads, "_executor", no_pool)
+        engine = InferenceEngine(model)
+        for _ in range(2):
+            engine.predict_many(designs, mc_samples=4,
+                                with_uncertainty=True)
+        engine.swap_model(fresh_model, warm=designs)
+        misses = engine.cache_stats()["misses"]
+        engine.predict_many(designs)
+        assert engine.cache_stats()["misses"] == misses   # warmed
+        # The same call inside a step would split (and fail here).
+        with pytest.raises(AssertionError, match="reached the pool"):
+            with training_step():
+                InferenceEngine(model).predict_many(designs)
 
 
 class TestCacheBehaviour:

@@ -91,6 +91,20 @@ class TestManifest:
         assert manifest["versions"]["python"]
         assert manifest["versions"]["numpy"]
 
+    def test_manifest_records_what_the_bits_depend_on(self):
+        import numpy as np
+
+        from repro.util import kernel_workers
+        from repro.util.blas import blas_corename
+
+        host = build_manifest(config=TrainConfig())["host"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert host["blas"] == {"name": blas["name"],
+                                "version": blas["version"],
+                                "corename": blas_corename()}
+        assert host["kernel_workers"] == kernel_workers()
+        assert isinstance(host["cpu"], str) and host["cpu"]
+
     def test_seeds_default_from_config(self):
         manifest = build_manifest(config=TrainConfig(seed=42))
         assert manifest["seeds"] == {"train": 42}

@@ -127,6 +127,27 @@ class TestRenderRun:
         assert f"manifest diff vs {run_b}" in out
         assert "~ train_config.lr:" in out
 
+    def test_host_shown_and_diffed(self, tmp_path):
+        """The BLAS build, its CPU kernels, the CPU and the kernel
+        workers are in the header, and a diff names the one that
+        differs between two runs."""
+        import json
+
+        from repro.util import kernel_workers
+
+        run_a = _write_run(tmp_path / "a", steps=2)
+        run_b = _write_run(tmp_path / "b", steps=2)
+        manifest = json.loads((run_b / "manifest.json").read_text())
+        host = manifest["host"]
+        assert f"kernel workers {kernel_workers()}" in render_run(run_a)
+        assert f"blas {host['blas']['name']} {host['blas']['version']}" \
+            in render_run(run_a)
+        host["blas"]["corename"] = "Prescott"
+        (run_b / "manifest.json").write_text(json.dumps(manifest))
+        out = render_run(run_a, diff_against=run_b)
+        assert "~ host.blas.corename:" in out and "-> 'Prescott'" in out
+        assert "host.cpu" not in out.split("manifest diff")[1]
+
     def test_last_final_weights_event_wins(self, tmp_path):
         """PT-FT emits one event per stage; report the returned weights."""
         with RunLogger(tmp_path / "run") as logger:

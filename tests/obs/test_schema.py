@@ -73,6 +73,17 @@ class TestManifestSchema:
         (problem,) = validate_manifest(manifest)
         assert "code.code_salt" in problem
 
+    def test_a_host_section_carries_every_field(self):
+        manifest = self._valid()
+        manifest["host"] = {"cpu": "x", "blas": {"name": "openblas",
+                                                 "version": "0.3",
+                                                 "corename": None},
+                            "kernel_workers": 2}
+        assert validate_manifest(manifest) == []
+        del manifest["host"]["blas"]["corename"]
+        (problem,) = validate_manifest(manifest)
+        assert "host.blas.corename" in problem
+
     def test_missing_top_level_field_named(self):
         manifest = self._valid()
         del manifest["seeds"]

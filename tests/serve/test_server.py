@@ -718,9 +718,10 @@ class TestCommandLine:
 
     def test_one_blas_thread_after_the_model_before_the_warm(
             self, monkeypatch):
-        """`repro serve` sets one BLAS thread once its model exists (a
-        model trained in the process keeps the default count's bits)
-        and before the start-up warm runs any BLAS call."""
+        """`repro serve` sets one BLAS thread once its model exists and
+        before the start-up warm runs any BLAS call.  The order decides
+        no bits: a model trained in the process ran its fit at one
+        thread whatever the count (DESIGN.md §11)."""
         import repro.experiments
         import repro.serve.server as server_mod
         import repro.util

@@ -199,6 +199,90 @@ class TestBaselineStrategies:
         assert np.mean(losses[-3:]) < np.mean(losses[:3])
 
 
+class TestOneBlasThread:
+    """Both trainers' steps run every BLAS call on one thread, so their
+    losses do not depend on the count the process starts at."""
+
+    @pytest.fixture()
+    def blas_seen(self, monkeypatch):
+        """The BLAS thread count at every optimizer step, and the
+        process's count put back after the test."""
+        from repro.nn import Adam
+        from repro.util import blas_threads
+
+        count = blas_threads()
+        if count is None:
+            pytest.skip("numpy's BLAS exposes no OpenBLAS thread control")
+        seen = []
+        step = Adam.step
+
+        def recording(self):
+            seen.append(blas_threads())
+            return step(self)
+
+        monkeypatch.setattr(Adam, "step", recording)
+        yield seen
+        from repro.util import set_blas_threads
+
+        set_blas_threads(count)
+
+    @staticmethod
+    def at_each_count(train):
+        from repro.util import blas_threads, set_blas_threads
+
+        runs = []
+        for start in (1, 2):
+            set_blas_threads(start)
+            runs.append(train())
+            assert blas_threads() == start
+        return runs
+
+    def test_ours(self, tiny_designs, in_features, blas_seen):
+        def train():
+            model = TimingPredictor(in_features, seed=0)
+            config = TrainConfig(**{**FAST.__dict__, "steps": 3})
+            return [r["total"] for r in
+                    OursTrainer(model, tiny_designs, config).fit()]
+
+        first, second = self.at_each_count(train)
+        assert first == second
+        assert set(blas_seen) == {1}
+
+    def test_baseline_loop(self, tiny_designs, in_features, blas_seen):
+        from repro.model import DAC23Model
+        from repro.train.strategies import _run_loop
+
+        def train():
+            return _run_loop(DAC23Model(in_features, seed=0), tiny_designs,
+                             3, FAST, lambda d: 0,
+                             np.random.default_rng(0))
+
+        first, second = self.at_each_count(train)
+        assert first == second
+        assert set(blas_seen) == {1}
+
+    def test_a_step_that_raises_restores_the_count(self, tiny_designs,
+                                                   in_features, blas_seen,
+                                                   monkeypatch):
+        from repro.util import blas_threads, set_blas_threads
+
+        set_blas_threads(2)
+        trainer = OursTrainer(TimingPredictor(in_features, seed=0),
+                              tiny_designs, FAST)
+
+        def fail(*args):
+            assert blas_threads() == 1
+            raise RuntimeError("step failed")
+
+        monkeypatch.setattr(trainer, "_grads_compiled", fail)
+        with pytest.raises(RuntimeError, match="step failed"):
+            trainer.step()
+        assert blas_threads() == 2
+        with pytest.raises(RuntimeError, match="step failed"):
+            trainer.fit()
+        assert blas_threads() == 2
+
+
 class TestEvaluationHelpers:
     def test_evaluate_per_design(self, tiny_designs, in_features):
         model = train_adv_only(tiny_designs, in_features, FAST)
